@@ -55,16 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CanonicalChannel:
-    """Canonical one-mode Gaussian channel.
-
-    ``rank`` is the rank of the channel's transmission matrix X (0 for the
-    thermal-replacement class, 2 otherwise); it is carried as metadata and
-    plays no computational role here.
-    """
+    """Canonical one-mode Gaussian channel."""
 
     tau: float
     nbar: float
-    rank: int
 
     def __post_init__(self):
         if not math.isfinite(self.tau):
@@ -73,10 +67,6 @@ class CanonicalChannel:
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported")
         if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise DomainError(f"temperature nbar must be >= 0, got {self.nbar}")
-        if self.rank not in (0, 2) or (self.rank == 0) != (self.tau == 0.0):
-            raise DomainError(
-                f"rank {self.rank} inconsistent with transmission {self.tau}"
-            )
 
     @property
     def class_label(self) -> str:
@@ -117,7 +107,7 @@ def make_canonical(
         if not (math.isfinite(eps) and eps >= 0.0):
             raise DomainError(f"scaled noise eps must be >= 0, got {eps}")
         nbar = eps / (2.0 * abs(1.0 - tau))
-    return CanonicalChannel(tau=tau, nbar=float(nbar), rank=0 if tau == 0.0 else 2)
+    return CanonicalChannel(tau=tau, nbar=float(nbar))
 
 
 def _channel_x(ch: CanonicalChannel) -> np.ndarray:

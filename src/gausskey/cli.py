@@ -157,8 +157,6 @@ def thresholds(tau_min, tau_max, steps, tol, out, svg):
     with open(out, "w", newline="") as fh:
         fh.write(curve_to_csv(curve))
     click.echo(f"wrote {len(curve.rows)} rows to {out}")
-    for t in curve.flagged_taus:
-        click.echo(f"warning: scan fallback used at tau = {_fmt(t)}")
     if svg is not None:
         with open(svg, "w", newline="") as fh:
             fh.write(_curve_svg(curve))

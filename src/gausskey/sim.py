@@ -37,7 +37,6 @@ from scipy.special import ndtri
 
 from .channels import make_canonical
 from .errors import DomainError, EmptyStatisticsError
-from .symplectic import entropy_g  # noqa: F401  (re-exported convenience)
 
 __all__ = [
     "RNG_DESCRIPTION",

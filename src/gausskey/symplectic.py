@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DegenerateMeasurementError,
@@ -61,6 +60,8 @@ PHYSICALITY_ATOL = 1e-9
 DISCRIMINANT_ATOL = 1e-9
 SYMPLECTIC_ATOL = 1e-10
 
+_LN2 = math.log(2.0)
+
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form for the (q1, p1, ..., qn, pn) ordering."""
@@ -73,14 +74,19 @@ def entropy_g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number ``x``.
 
     g(x) = (x + 1) log2(x + 1) - x log2(x), extended continuously to
-    g(0) = 0.  Strictly increasing for x >= 0.
+    g(0) = 0.  Strictly increasing for x >= 0.  Evaluated as
+    [log1p(x) + x log(1 + 1/x)] / ln 2, which has no cancellation at large x;
+    below x = 1 the second logarithm is log1p(x) - log(x), since 1/x
+    overflows for subnormal x.
     """
     x = float(x)
     if x < 0.0:
         raise DomainError(f"entropy_g requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    head = math.log1p(x)
+    tail = math.log1p(1.0 / x) if x >= 1.0 else head - math.log(x)
+    return (head + x * tail) / _LN2
 
 
 def _det2(block: np.ndarray) -> float:
@@ -222,7 +228,14 @@ def tensor(*states: CovMat) -> CovMat:
     """Product state: direct sum of the covariance blocks."""
     if not states:
         raise DomainError("tensor requires at least one state")
-    return CovMat(block_diag(*[s.entries for s in states]))
+    size = sum(s.entries.shape[0] for s in states)
+    out = np.zeros((size, size))
+    k = 0
+    for s in states:
+        n = s.entries.shape[0]
+        out[k : k + n, k : k + n] = s.entries
+        k += n
+    return CovMat(out)
 
 
 def partial_trace(state: CovMat, keep) -> CovMat:

@@ -6,11 +6,11 @@ interiors, which decrease from a positive value at eps = 0 (when the rate is
 positive at all) through zero: bisection to an absolute eps tolerance, with
 the upper bracket doubled until the interior goes negative.
 
-The homodyne-protocol interior is not assumed monotone: each search first
-checks the sign pattern on a coarse grid, and on a violation falls back to a
-fine first-crossing scan and flags the transmission value on the returned
-curve.  (No violation is known for any channel in the supported classes; the
-fallback is a guard, not an expected path.)
+All three searches assume that their interior never rises as eps grows, so
+that it changes sign at most once.  For ``e_r`` and ``q1g`` this follows from
+g being increasing in nbar.  For ``r_rev`` it is certified numerically by
+``tests/test_thresholds.py::test_r_rev_interior_non_increasing_in_eps`` on a
+dense (tau, eps) grid.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ TAU_ONE_SKIP = 1e-6
 
 _BRACKET_DOUBLINGS = 200
 _BISECT_MAX_ITER = 300
-_SCAN_POINTS = 4096
 
 
 class ThresholdRow(NamedTuple):
@@ -60,15 +59,10 @@ class ThresholdRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ThresholdCurve:
-    """Threshold rows on a transmission grid, one row per retained tau.
-
-    ``flagged_taus`` lists grid points where the homodyne-protocol search hit
-    a sign-pattern violation and used the scan fallback.
-    """
+    """Threshold rows on a transmission grid, one row per retained tau."""
 
     rows: tuple[ThresholdRow, ...]
     tolerance: float
-    flagged_taus: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -106,25 +100,14 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
     return mid
 
 
-def _scan_first_crossing(f: Callable[[float], float], hi: float, tol: float) -> float:
-    """First sign crossing of f on [0, hi] by dense scan, then local bisection."""
-    xs = np.linspace(0.0, hi, _SCAN_POINTS + 1)
-    prev = 0.0
-    for x in xs[1:]:
-        if f(float(x)) <= 0.0:
-            return _bisect(f, prev, float(x), tol)
-        prev = float(x)
-    return _bisect(f, prev, hi, tol)
-
-
-def _threshold_impl(rate_id: str, tau: float, tol: float) -> tuple[float, bool]:
+def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
     interior = _INTERIORS[rate_id]
 
     def f(eps: float) -> float:
         return interior(make_canonical(tau, eps=eps))
 
     if f(0.0) <= 0.0:
-        return 0.0, False
+        return 0.0
     hi = 1.0
     for _ in range(_BRACKET_DOUBLINGS):
         if f(hi) < 0.0:
@@ -134,17 +117,7 @@ def _threshold_impl(rate_id: str, tau: float, tol: float) -> tuple[float, bool]:
         raise NumericError(
             f"could not bracket the {rate_id} threshold at tau = {tau}"
         )
-    if rate_id == "r_rev":
-        # Sign-pattern pre-check: once the interior has gone non-positive it
-        # must not come back above tol.
-        crossed = False
-        for x in np.linspace(0.0, hi, 33):
-            v = f(float(x))
-            if v <= 0.0:
-                crossed = True
-            elif crossed and v > tol:
-                return _scan_first_crossing(f, hi, tol), True
-    return _bisect(f, 0.0, hi, tol), False
+    return _bisect(f, 0.0, hi, tol)
 
 
 def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
@@ -157,8 +130,7 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
         raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    value, _ = _threshold_impl(rate_id, float(tau), tol)
-    return value
+    return _threshold_impl(rate_id, float(tau), tol)
 
 
 def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> ThresholdCurve:
@@ -175,20 +147,17 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
         raise DomainError(f"tolerance must be positive, got {tol}")
     taus = np.linspace(float(tau_min), float(tau_max), int(steps))
     rows = []
-    flagged = []
     for t in taus:
         t = float(t)
         if abs(t - 1.0) < TAU_ONE_SKIP:
             continue
-        eps_q, _ = _threshold_impl("q1g", t, tol)
-        eps_r, _ = _threshold_impl("e_r", t, tol)
-        eps_rev, was_flagged = _threshold_impl("r_rev", t, tol)
+        eps_q = _threshold_impl("q1g", t, tol)
+        eps_r = _threshold_impl("e_r", t, tol)
+        eps_rev = _threshold_impl("r_rev", t, tol)
         rows.append(ThresholdRow(tau=t, eps_q=eps_q, eps_r=eps_r, eps_rev=eps_rev))
-        if was_flagged:
-            flagged.append(t)
     if not rows:
         raise DomainError("threshold grid is empty: every point sits at tau = 1")
-    return ThresholdCurve(rows=tuple(rows), tolerance=tol, flagged_taus=tuple(flagged))
+    return ThresholdCurve(rows=tuple(rows), tolerance=tol)
 
 
 def curve_to_csv(curve: ThresholdCurve) -> str:

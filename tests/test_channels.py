@@ -27,12 +27,6 @@ def test_make_canonical_noise_representations():
     assert ch.w == pytest.approx(1.2)
 
 
-def test_make_canonical_rank():
-    assert gk.make_canonical(0.0, nbar=0.5).rank == 0
-    assert gk.make_canonical(0.4, nbar=0.5).rank == 2
-    assert gk.make_canonical(-1.0, nbar=0.0).rank == 2
-
-
 def test_eps_nbar_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -3,9 +3,14 @@ artifacts, environment-controlled precision."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import gausskey
 from gausskey.cli import cli
 
 E_R_09_01 = 2.8384814092736977139
@@ -28,6 +33,25 @@ def test_rates_text_no_bound_line_when_rate_zero():
     result = _run(["rates", "--tau", "-0.5", "--nbar", "0"])
     assert result.exit_code == 0
     assert "bound:" not in result.output
+
+
+def test_rates_huge_temperature_has_no_false_bound():
+    # g(1e300) is about 998 bits, so E_R = max(0, 1 - g) is zero; an entropy
+    # that cancels to 0 at large nbar would report E_R = 1 here.
+    result = _run(["rates", "--tau", "0.5", "--nbar", "1e300", "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["e_r"] == 0.0
+    result = _run(["rates", "--tau", "0.5", "--nbar", "1e300"])
+    assert result.exit_code == 0
+    assert "bound:" not in result.output
+
+
+def test_cli_import_skips_scipy_linalg():
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskey.__file__).resolve().parents[1])}
+    probe = "import sys, gausskey.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_rates_json_schema_and_values():

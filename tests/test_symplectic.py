@@ -1,6 +1,7 @@
 """Core linear algebra: builders, spectra, entropy, conditioning."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ def test_entropy_g_domain_and_monotonicity():
     xs = np.linspace(0.0, 8.0, 400)
     vals = [gk.entropy_g(float(x)) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_entropy_g_matches_mpmath_over_the_float_range():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [5e-324, 1e-320, sys.float_info.min, 0.5, 1.0, 2.0, sys.float_info.max]
+    xs += [m * 10.0**k for k in range(-323, 308) for m in (1.0, 3.7)]
+    xs += [float(x) for x in np.linspace(0.01, 4.0, 200)]
+    with mpmath.workdps(50):
+        for x in xs:
+            x_mp = mpmath.mpf(x)
+            want = (mpmath.log1p(x_mp) + x_mp * mpmath.log1p(1 / x_mp)) / mpmath.log(2)
+            # Two ulps of relative error, or two subnormal steps where g(x)
+            # is itself subnormal.
+            assert abs(gk.entropy_g(x) - want) <= 4.5e-16 * want + 1e-323, x
 
 
 def test_symplectic_form():

@@ -78,6 +78,31 @@ def test_positive_thresholds_are_genuine_roots(rate_id, tau):
         assert interior(make_canonical(tau, eps=eps_star - 10 * tol)) > 0.0
 
 
+@pytest.mark.parametrize("tau", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-15])
+@pytest.mark.parametrize("rate_id", ["e_r", "q1g", "r_rev"])
+def test_thresholds_converge_next_to_unit_transmission(rate_id, tau):
+    # Here nbar = eps / (2 |1 - tau|) is about 4e11 to 4e14, where a
+    # cancelling entropy_g loses most of its digits and bisection never meets
+    # its tolerance.
+    tol = 1e-9
+    eps_star = threshold_eps(rate_id, tau, tol=tol)
+    assert eps_star > 0.0
+    assert abs(_INTERIORS[rate_id](make_canonical(tau, eps=eps_star))) <= tol
+
+
+def test_r_rev_interior_non_increasing_in_eps():
+    # Certifies the single-sign-change assumption that the threshold search
+    # makes for r_rev (e_r and q1g are monotone through g alone).
+    eps_grid = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 200)))
+    for k in range(-300, 301):
+        if k == 100:
+            continue
+        tau = k / 100
+        vals = [r_rev_interior(make_canonical(tau, eps=float(e))) for e in eps_grid]
+        rises = [i for i in range(len(vals) - 1) if vals[i + 1] > vals[i]]
+        assert not rises, (tau, [float(eps_grid[i + 1]) for i in rises])
+
+
 def test_threshold_argument_validation():
     with pytest.raises(DomainError, match="unknown rate id"):
         threshold_eps("holevo", 0.5)
@@ -89,7 +114,6 @@ def test_sweep_rows_and_metadata():
     curve = sweep(-0.5, 0.5, 3, tol=1e-9)
     assert isinstance(curve, ThresholdCurve)
     assert curve.tolerance == 1e-9
-    assert curve.flagged_taus == ()
     taus = [row.tau for row in curve.rows]
     assert taus == [-0.5, 0.0, 0.5]
     # No reverse or forward strategy survives tau <= 0; at tau = 1/2 the
@@ -125,7 +149,6 @@ def test_threshold_order_below_unit_transmission():
 
 def test_protocol_threshold_dominates_reverse_everywhere():
     curve = sweep(0.1, 1.9, 25)
-    assert curve.flagged_taus == ()
     for row in curve.rows:
         assert row.eps_rev > row.eps_r > 0.0
 
