@@ -27,6 +27,7 @@ everything leaking out of the channel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ __all__ = [
     "apply_dilation",
 ]
 
+_MAX = sys.float_info.max
+_HALF_MAX = _MAX / 2.0  # largest nbar with a finite w = 2 nbar + 1
+
 
 @dataclass(frozen=True)
 class CanonicalChannel:
@@ -62,11 +66,15 @@ class CanonicalChannel:
 
     def __post_init__(self):
         if not math.isfinite(self.tau):
-            raise DomainError(f"transmission must be finite, got {self.tau}")
+            raise DomainError(f"transmission must be finite, got {self.tau}", field="tau")
         if self.tau == 1.0:
-            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported")
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise DomainError(f"temperature nbar must be >= 0, got {self.nbar}")
+            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
+        # Also rejects NaN and inf: one chained comparison keeps this cheap.
+        if not (0.0 <= self.nbar <= _HALF_MAX and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
+            raise DomainError(
+                f"temperature nbar must be finite and >= 0, with finite w and eps, got {self.nbar}",
+                field="nbar",
+            )
 
     @property
     def class_label(self) -> str:
@@ -93,20 +101,22 @@ def make_canonical(
     """Build a canonical channel from ``tau`` and exactly one noise parameter.
 
     Noise may be given as the environment temperature ``nbar`` or as the
-    scaled noise ``eps`` = 2 nbar |1 - tau|; both must be non-negative.
+    scaled noise ``eps`` = 2 nbar |1 - tau|; both must be finite and
+    non-negative, and neither w nor eps may overflow.
     """
     tau = float(tau)
     if (nbar is None) == (eps is None):
-        raise DomainError("exactly one of nbar and eps must be given")
-    if not math.isfinite(tau):
-        raise DomainError(f"transmission must be finite, got {tau}")
-    if tau == 1.0:
-        raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported")
+        raise DomainError("exactly one of nbar and eps must be given", field="nbar/eps")
     if eps is not None:
+        if tau == 1.0:  # guards the division below
+            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
         eps = float(eps)
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise DomainError(f"scaled noise eps must be >= 0, got {eps}")
         nbar = eps / (2.0 * abs(1.0 - tau))
+        if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
+            raise DomainError(
+                f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
+                field="eps",
+            )
     return CanonicalChannel(tau=tau, nbar=float(nbar))
 
 

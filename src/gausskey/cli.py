@@ -74,24 +74,14 @@ def _emit_json(obj: dict, pretty: bool = False):
         click.echo(json.dumps(prepared, separators=(",", ":")))
 
 
-def _fail_domain(message: str):
-    click.echo(f"error: {message}", err=True)
+def _fail_domain(exc: GaussKeyError, fallback: str):
+    """Print ``exc`` under the flags named by its field, else ``fallback``; exit 1."""
+    if exc.field is None:
+        label = fallback
+    else:
+        label = "/".join("--" + name.replace("_", "-") for name in exc.field.split("/"))
+    click.echo(f"error: {label}: {exc}", err=True)
     sys.exit(1)
-
-
-def _channel_from_flags(tau, nbar=None, eps=None, noise_flag_required=True):
-    if tau == 1.0:
-        _fail_domain("--tau: classes B1/B2 (tau=1) unsupported")
-    if noise_flag_required and (nbar is None) == (eps is None):
-        raise click.UsageError("exactly one of --nbar and --eps is required")
-    if nbar is not None and nbar < 0.0:
-        _fail_domain(f"--nbar: temperature must be >= 0, got {_fmt(nbar)}")
-    if eps is not None and eps < 0.0:
-        _fail_domain(f"--eps: scaled noise must be >= 0, got {_fmt(eps)}")
-    try:
-        return make_canonical(tau, nbar=nbar, eps=eps)
-    except GaussKeyError as exc:
-        _fail_domain(f"--tau: {exc}")
 
 
 @click.group()
@@ -113,8 +103,13 @@ def cli():
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def rates(tau, nbar, eps, as_json):
     """Closed-form rate bounds e_r, q1g, r_rev at one channel point."""
-    ch = _channel_from_flags(tau, nbar, eps)
-    report = rate_report(ch)
+    if (nbar is None) == (eps is None):
+        raise click.UsageError("exactly one of --nbar and --eps is required")
+    try:
+        ch = make_canonical(tau, nbar=nbar, eps=eps)
+        report = rate_report(ch)
+    except GaussKeyError as exc:
+        _fail_domain(exc, "--tau")
     if as_json:
         _emit_json(report.as_dict())
         return
@@ -142,18 +137,10 @@ def rates(tau, nbar, eps, as_json):
               help="Also write an SVG plot of the three curves.")
 def thresholds(tau_min, tau_max, steps, tol, out, svg):
     """Security-threshold curves eps_q, eps_r, eps_rev over a tau grid."""
-    if steps < 1:
-        _fail_domain(f"--steps: must be >= 1, got {steps}")
-    if not tol > 0.0:
-        _fail_domain(f"--tol: must be positive, got {_fmt(tol)}")
-    if not tau_max >= tau_min:
-        _fail_domain(
-            f"--tau-min/--tau-max: need tau-max >= tau-min, got [{_fmt(tau_min)}, {_fmt(tau_max)}]"
-        )
     try:
         curve = sweep(tau_min, tau_max, steps, tol=tol)
     except GaussKeyError as exc:
-        _fail_domain(f"--tau-min/--tau-max: {exc}")
+        _fail_domain(exc, "--tau-min/--tau-max")
     with open(out, "w", newline="") as fh:
         fh.write(curve_to_csv(curve))
     click.echo(f"wrote {len(curve.rows)} rows to {out}")
@@ -177,7 +164,6 @@ def converge(tau, nbar, mu_list, engine, as_json):
     The protocol engine uses the trusted discarded-port model, the one that
     matches the closed-form homodyne rate.
     """
-    ch = _channel_from_flags(tau, nbar=nbar, noise_flag_required=False)
     tokens = [t.strip() for t in mu_list.split(",") if t.strip()]
     if not tokens:
         raise click.UsageError("--mu-list must contain at least one value")
@@ -186,9 +172,10 @@ def converge(tau, nbar, mu_list, engine, as_json):
     except ValueError:
         raise click.UsageError(f"--mu-list: could not parse {mu_list!r} as floats")
     try:
+        ch = make_canonical(tau, nbar=nbar)
         rows = convergence_table(ch, mus, engine=engine)
     except GaussKeyError as exc:
-        _fail_domain(f"--mu-list: {exc}")
+        _fail_domain(exc, "--mu-list")
     if as_json:
         _emit_json(
             {
@@ -217,11 +204,11 @@ def converge(tau, nbar, mu_list, engine, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def verify(tau, nbar, mu, ports, as_json):
     """Dilation-based protocol rate against the closed form at one point."""
-    ch = _channel_from_flags(tau, nbar=nbar, noise_flag_required=False)
     try:
+        ch = make_canonical(tau, nbar=nbar)
         numeric = protocol_rate_numeric(ch, mu, port_model=ports)
     except GaussKeyError as exc:
-        _fail_domain(f"--tau/--mu: {exc}")
+        _fail_domain(exc, "--tau/--mu")
     closed = r_rev(ch)
     diff = abs(numeric - closed)
     if as_json:
@@ -256,16 +243,6 @@ def verify(tau, nbar, mu, ports, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Single-line JSON instead of indented.")
 def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
     """Seeded homodyne-protocol Monte Carlo; emits run statistics as JSON."""
-    if tau == 1.0:
-        _fail_domain("--tau: classes B1/B2 (tau=1) unsupported")
-    if nbar < 0.0:
-        _fail_domain(f"--nbar: temperature must be >= 0, got {_fmt(nbar)}")
-    if mu < 1.0:
-        _fail_domain(f"--mu: source variance must be >= 1, got {_fmt(mu)}")
-    if rounds < 1:
-        _fail_domain(f"--rounds: must be >= 1, got {rounds}")
-    if not 0 <= seed < 2**64:
-        _fail_domain(f"--seed: must be a 64-bit unsigned integer, got {seed}")
     try:
         cfg = SimConfig(tau=tau, nbar=nbar, mu=mu, rounds=rounds, seed=seed, mode=mode)
         if rounds_csv is not None:
@@ -275,7 +252,7 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
         else:
             stats = simulate(cfg)
     except GaussKeyError as exc:
-        _fail_domain(f"--tau/--nbar/--mu/--rounds/--seed: {exc}")
+        _fail_domain(exc, "--mu/--rounds")
     payload = {
         "tau": tau,
         "nbar": nbar,
@@ -294,14 +271,10 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def classify_cmd(tau, eps, as_json):
     """Region flags at one (tau, eps) point."""
-    if tau == 1.0:
-        _fail_domain("--tau: classes B1/B2 (tau=1) unsupported")
-    if eps < 0.0:
-        _fail_domain(f"--eps: scaled noise must be >= 0, got {_fmt(eps)}")
     try:
         label = classify(tau, eps)
     except GaussKeyError as exc:
-        _fail_domain(f"--tau/--eps: {exc}")
+        _fail_domain(exc, "--tau/--eps")
     region = _region_text(label)
     if as_json:
         _emit_json(

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``GaussKeyError.field`` names the argument at fault ("nbar"), or two names
+joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig`` or threshold
+argument fails its check; every other error, such as a state an engine built
+itself, has ``field`` None.
+"""
 
 
 class GaussKeyError(Exception):
     """Base class for every error raised by this package."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(GaussKeyError, ValueError):

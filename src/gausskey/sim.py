@@ -75,14 +75,14 @@ class SimConfig:
 
     def __post_init__(self):
         make_canonical(self.tau, nbar=self.nbar)
-        if not self.mu >= 1.0:
-            raise DomainError(f"source variance mu must be >= 1, got {self.mu}")
+        if not 1.0 <= self.mu < math.inf:
+            raise DomainError(f"source variance mu must be >= 1 and finite, got {self.mu}", field="mu")
         if int(self.rounds) < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
+            raise DomainError(f"rounds must be >= 1, got {self.rounds}", field="rounds")
         if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}", field="seed")
         if self.mode not in ("memory", "sifted"):
-            raise DomainError(f"mode must be 'memory' or 'sifted', got {self.mode!r}")
+            raise DomainError(f"mode must be 'memory' or 'sifted', got {self.mode!r}", field="mode")
 
 
 @dataclass(frozen=True)

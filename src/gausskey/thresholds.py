@@ -15,6 +15,7 @@ dense (tau, eps) grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -127,9 +128,9 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     returns satisfy |interior(eps)| <= tol.
     """
     if rate_id not in _INTERIORS:
-        raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}")
+        raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}", field="rate_id")
     if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+        raise DomainError(f"tolerance must be positive, got {tol}", field="tol")
     return _threshold_impl(rate_id, float(tau), tol)
 
 
@@ -140,11 +141,14 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     them); an entirely skipped grid raises.
     """
     if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    if not tau_max >= tau_min:
-        raise DomainError(f"need tau_max >= tau_min, got [{tau_min}, {tau_max}]")
+        raise DomainError(f"steps must be >= 1, got {steps}", field="steps")
+    if not -math.inf < tau_min <= tau_max < math.inf:
+        raise DomainError(
+            f"need finite tau_max >= tau_min, got [{tau_min}, {tau_max}]",
+            field="tau_min/tau_max",
+        )
     if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+        raise DomainError(f"tolerance must be positive, got {tol}", field="tol")
     taus = np.linspace(float(tau_min), float(tau_max), int(steps))
     rows = []
     for t in taus:
@@ -156,7 +160,9 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
         eps_rev = _threshold_impl("r_rev", t, tol)
         rows.append(ThresholdRow(tau=t, eps_q=eps_q, eps_r=eps_r, eps_rev=eps_rev))
     if not rows:
-        raise DomainError("threshold grid is empty: every point sits at tau = 1")
+        raise DomainError(
+            "threshold grid is empty: every point sits at tau = 1", field="tau_min/tau_max"
+        )
     return ThresholdCurve(rows=tuple(rows), tolerance=tol)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import gausskey
@@ -297,3 +298,30 @@ def test_version_flag():
     result = _run(["--version"])
     assert result.exit_code == 0
     assert "gausskey" in result.output
+
+
+_SIMULATE = ["simulate", "--tau", "0.5", "--rounds", "10", "--seed", "0", "--mode", "memory"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["rates", "--tau", "0.5", "--nbar", "inf"], "--nbar"),
+        (["rates", "--tau", "0.5", "--eps", "nan"], "--eps"),
+        (["converge", "--tau", "0.5", "--nbar", "nan", "--mu-list", "10"], "--nbar"),
+        (["verify", "--tau", "0.5", "--nbar", "inf", "--mu", "10", "--ports", "trusted"],
+         "--nbar"),
+        (_SIMULATE + ["--nbar", "inf", "--mu", "5"], "--nbar"),
+        (_SIMULATE + ["--nbar", "0", "--mu", "nan"], "--mu"),
+        (["rates", "--tau", "0.5", "--eps", "1e308", "--json"], "--eps"),
+    ],
+)
+def test_domain_errors_name_the_flag_at_fault(args, flag):
+    result = _run(args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {flag}: ")
+    assert result.stdout == ""
+
+
+def test_missing_noise_flag_is_a_usage_error_at_unit_transmission():
+    assert _run(["rates", "--tau", "1"]).exit_code == 2
