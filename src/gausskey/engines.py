@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .channels import CanonicalChannel, apply_channel, apply_dilation, dilate
-from .errors import DomainError, UnsupportedChannelError
+from .errors import DomainError, NumericError, UnsupportedChannelError
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
@@ -147,7 +147,13 @@ def protocol_rate_numeric(
     va = float(state.entries[row, row])
     vb = float(state.entries[2 + row, 2 + row])
     c = float(state.entries[row, 2 + row])
-    mi = 0.5 * math.log2(va / (va - c * c / vb))
+    cond = va - c * c / vb
+    if not 0.0 < cond < math.inf:
+        raise NumericError(
+            f"conditional variance V_A|y = {cond} at mu = {mu} is not finite and positive "
+            "(float precision limit)"
+        )
+    mi = 0.5 * math.log2(va / cond)
     return mi - _holevo(state, _eve_modes(port_model), basis)
 
 

@@ -23,8 +23,13 @@ Randomness contract (reproducible across platforms and schedules):
 * normal deviates come from the inverse CDF (one uniform per deviate), never
   from rejection sampling.
 
-Moment accumulation uses exactly rounded compensated sums (math.fsum), so the
-reported statistics are independent of summation order as well.
+``simulate`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS`` rounds and
+keeps only running moment sums, so its memory is bounded by the chunk size
+unless ``keep_rounds`` asks for the per-round record; the test suite checks
+that every chunk size gives identical statistics and rounds.  The moment
+sums are accumulated exactly, as integers in units of 2**-1127, so each one
+equals ``math.fsum`` over all kept rounds and the reported statistics are
+independent of summation order and chunking as well.
 """
 
 from __future__ import annotations
@@ -33,10 +38,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channels import make_canonical
-from .errors import DomainError, EmptyStatisticsError
+from .errors import DomainError, EmptyStatisticsError, NumericError
 
 __all__ = [
     "RNG_DESCRIPTION",
@@ -55,6 +59,15 @@ RNG_DESCRIPTION = (
 )
 
 _MIN_UNIFORM = 2.0**-53  # floor keeps ndtri away from its pole at 0
+_CHUNK_ROUNDS = 1 << 16  # rounds drawn per step; bounds memory without keep_rounds
+
+# frexp writes every finite double as x = m * 2**(e - 53) with |m| < 2**53
+# an integer and e >= -1073, so x * 2**1127 = m * 2**(e + 1074) is an integer.
+_SCALE_BITS = 1127
+
+_ROUND_DTYPE = np.dtype(
+    [("basis_b", "U1"), ("basis_a", "U1"), ("kept", np.int8), ("x_a", float), ("x_b", float)]
+)
 
 
 @dataclass(frozen=True)
@@ -158,34 +171,92 @@ def _p_alignment_sign(tau: float) -> float:
     return -1.0 if tau > 0.0 else 1.0
 
 
+def _scaled_sum(x: np.ndarray) -> int:
+    """Exact sum of ``x`` times 2**1127, as a Python int.
+
+    m's signed high part (m >> 27) and 27-bit low part are summed per
+    exponent by ``bincount``; each partial sum stays below 2**53, hence
+    exact, while ``len(x) < 2**26``.  The nonzero buckets then fold into
+    one int.
+    """
+    if not np.isfinite(x).all():
+        raise NumericError(
+            "a sampled outcome or product is not finite: the outcome variances "
+            "exceed float range (float precision limit)"
+        )
+    frac, exp = np.frexp(x)
+    m = (frac * 2.0**53).astype(np.int64)
+    low = int(exp.min(initial=0))  # initial: a chunk may keep no rounds
+    bucket = exp - low  # bucket b holds exponent e = b + low
+    total = 0
+    for part, shift in ((m >> 27, low + 1074 + 27), (m & 0x7FFFFFF, low + 1074)):
+        sums = np.bincount(bucket, weights=part)
+        nonzero = np.flatnonzero(sums)
+        for b, v in zip(nonzero.tolist(), sums[nonzero].tolist()):
+            total += int(v) << (b + shift)
+    return total
+
+
 def simulate(cfg: SimConfig, keep_rounds: bool = False):
     """Run the protocol; fully deterministic in ``cfg``.
 
     Returns :class:`SimStats`, or ``(SimStats, rounds)`` when ``keep_rounds``
     is set, where ``rounds`` is a structured array with one entry per round
-    and fields ``basis_b``, ``basis_a``, ``kept``, ``x_a``, ``x_b``.
+    and fields ``basis_b``, ``basis_a``, ``kept``, ``x_a``, ``x_b``.  Raises
+    :class:`NumericError` when the outcome moments or their sums leave float
+    range or precision (for instance mu >= 1e17, or |tau| near float max).
     """
+    from scipy.special import ndtri  # deferred: scipy dominates import time
+
     cov_q = analytic_moments(cfg.tau, cfg.nbar, cfg.mu, basis="q")
     va = float(cov_q[0, 0])
     vb = float(cov_q[1, 1])
     c_q = float(cov_q[0, 1])
+    cond = va - c_q * c_q / vb
+    if not (math.isfinite(c_q) and all(0.0 < v < math.inf for v in (va, vb, cond))):
+        raise NumericError(
+            f"outcome moments V_A={va}, V_B={vb}, c={c_q}, V_A|B={cond} are not all "
+            "finite and positive (float precision limit)"
+        )
+    mi_analytic = gaussian_mutual_information(cov_q)
     c_p = c_q * _p_alignment_sign(cfg.tau)
 
+    rounds = int(cfg.rounds)
     gen = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
-    u = gen.random((int(cfg.rounds), 4))
-    basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
-    if cfg.mode == "memory":
-        basis_a = basis_b.copy()
-    else:
-        basis_a = (u[:, 1] >= 0.5).astype(np.int8)
-    kept = basis_a == basis_b
-    z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
-    z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
-    c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
-    x_b = math.sqrt(vb) * z_b
-    x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
+    rec = np.empty(rounds, dtype=_ROUND_DTYPE) if keep_rounds else None
+    labels = np.array(["q", "p"])
+    n_kept = 0
+    sums = [0] * 5  # a, b, a*a, b*b, a*b over kept rounds, times 2**1127
+    # Products of huge outcomes may overflow; _scaled_sum reports them.
+    with np.errstate(over="ignore"):
+        for start in range(0, rounds, _CHUNK_ROUNDS):
+            u = gen.random((min(_CHUNK_ROUNDS, rounds - start), 4))
+            basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
+            if cfg.mode == "memory":
+                basis_a = basis_b
+            else:
+                basis_a = (u[:, 1] >= 0.5).astype(np.int8)
+            kept = basis_a == basis_b
+            z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
+            z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
+            c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
+            x_b = math.sqrt(vb) * z_b
+            x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
 
-    n_kept = int(np.count_nonzero(kept))
+            align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
+            a = (x_a * align)[kept]
+            b = x_b[kept]
+            n_kept += len(a)
+            for i, x in enumerate((a, b, a * a, b * b, a * b)):
+                sums[i] += _scaled_sum(x)
+            if rec is not None:
+                part = rec[start : start + len(u)]
+                part["basis_b"] = labels[basis_b]
+                part["basis_a"] = labels[basis_a]
+                part["kept"] = kept
+                part["x_a"] = x_a
+                part["x_b"] = x_b
+
     # Two kept rounds still determine a rank-1 sample covariance (sample
     # correlation exactly +-1), so the empirical mutual information needs
     # three.
@@ -193,14 +264,12 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
         raise EmptyStatisticsError(
             f"only {n_kept} of {cfg.rounds} rounds kept; no moment estimates possible"
         )
-    align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
-    a = (x_a * align)[kept]
-    b = x_b[kept]
-    s_a = math.fsum(a.tolist())
-    s_b = math.fsum(b.tolist())
-    s_aa = math.fsum((a * a).tolist())
-    s_bb = math.fsum((b * b).tolist())
-    s_ab = math.fsum((a * b).tolist())
+    try:
+        s_a, s_b, s_aa, s_bb, s_ab = [s / (1 << _SCALE_BITS) for s in sums]
+    except OverflowError:
+        raise NumericError(
+            "a moment sum over the kept rounds overflows float (float precision limit)"
+        ) from None
     m_a = s_a / n_kept
     m_b = s_b / n_kept
     denom = n_kept - 1.0
@@ -210,33 +279,22 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
             [(s_ab - n_kept * m_a * m_b) / denom, (s_bb - n_kept * m_b * m_b) / denom],
         ]
     )
+    try:
+        mi_empirical = gaussian_mutual_information(emp)
+    except DomainError:
+        raise NumericError(
+            "the empirical outcome covariance is degenerate to float precision "
+            "(float precision limit; V_A|B is tiny against V_A)"
+        ) from None
     stats = SimStats(
         kept_rounds=n_kept,
         empirical_cov=emp,
         analytic_cov=cov_q,
-        mi_empirical=gaussian_mutual_information(emp),
-        mi_analytic=gaussian_mutual_information(cov_q),
+        mi_empirical=mi_empirical,
+        mi_analytic=mi_analytic,
         sift_ratio=n_kept / float(cfg.rounds),
     )
-    if not keep_rounds:
-        return stats
-    rec = np.empty(
-        int(cfg.rounds),
-        dtype=[
-            ("basis_b", "U1"),
-            ("basis_a", "U1"),
-            ("kept", np.int8),
-            ("x_a", float),
-            ("x_b", float),
-        ],
-    )
-    labels = np.array(["q", "p"])
-    rec["basis_b"] = labels[basis_b]
-    rec["basis_a"] = labels[basis_a]
-    rec["kept"] = kept.astype(np.int8)
-    rec["x_a"] = x_a
-    rec["x_b"] = x_b
-    return stats, rec
+    return stats if rec is None else (stats, rec)
 
 
 def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
@@ -262,10 +320,6 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
 
 def rounds_to_csv(rounds: np.ndarray) -> str:
     """Per-round CSV with header ``basis_b,basis_a,kept,x_a,x_b`` (LF newlines)."""
-    lines = ["basis_b,basis_a,kept,x_a,x_b"]
-    for row in rounds:
-        lines.append(
-            f"{row['basis_b']},{row['basis_a']},{int(row['kept'])},"
-            f"{row['x_a']:.12g},{row['x_b']:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = (rounds[f].tolist() for f in _ROUND_DTYPE.names)
+    body = map("{},{},{},{:.12g},{:.12g}".format, *columns)
+    return "\n".join([",".join(_ROUND_DTYPE.names), *body]) + "\n"

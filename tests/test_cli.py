@@ -55,6 +55,16 @@ def test_cli_import_skips_scipy_linalg():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["gausskey", "gausskey.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # scipy.special loads only when simulate first runs.
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskey.__file__).resolve().parents[1])}
+    probe = f"import sys, {module}; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_rates_json_schema_and_values():
     result = _run(["rates", "--tau", "0.5", "--nbar", "0", "--json"])
     assert result.exit_code == 0
