@@ -144,7 +144,7 @@ def apply_channel(state: CovMat, ch: CanonicalChannel, mode: int = 0) -> CovMat:
     out[sl, :] = x @ out[sl, :]
     out[:, sl] = out[:, sl] @ x.T
     out[sl, sl] += y
-    return CovMat(0.5 * (out + out.T))
+    return CovMat(out)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,14 @@ PORT_MODELS = ("trusted", "untrusted")
 # this bound.
 MIN_PROTOCOL_MU = 1.0 + 1e-9
 
+# V_A|y = V_A - c^2 / V_y cancels digits as mu grows: its rounding error is
+# about ulp(1) * V_A, so the mutual-information term (1/2) log2(V_A / V_A|y)
+# is off by about ulp(1) * V_A / V_A|y bits.  Past this bound the protocol
+# engine raises instead of returning a wrong rate (at tau 0.5, nbar 0.1 the
+# bound is crossed between mu = 1e10 and 1e12; mu = 1e16 would give 0.381
+# bits against a closed form of 0.263).
+_MAX_MI_ROUNDING_BITS = 1e-6
+
 
 def rci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     """Reverse coherent information S(A) - S(AB) at source variance ``mu``.
@@ -138,8 +146,10 @@ def protocol_rate_numeric(
     """Reverse homodyne-protocol rate I(x_A : y) - chi(E : y) at finite ``mu``.
 
     The mutual information uses the variance-ratio form
-    (1/2) log2(V_A / V_{A|y}), which stays well conditioned at large mu.
-    Results in the q and p bases agree to float noise.
+    (1/2) log2(V_A / V_{A|y}).  V_{A|y} = V_A - c^2 / V_y loses digits as mu
+    grows, so this raises :class:`NumericError` (float precision limit) once
+    that rounding could move the rate by more than 1e-6 bits.  Results in
+    the q and p bases agree to float noise.
     """
     _check_protocol_args(ch, mu, port_model, basis)
     state = _protocol_state(ch, float(mu))
@@ -148,9 +158,11 @@ def protocol_rate_numeric(
     vb = float(state.entries[2 + row, 2 + row])
     c = float(state.entries[row, 2 + row])
     cond = va - c * c / vb
-    if not 0.0 < cond < math.inf:
+    rounding = math.ulp(1.0) * va / cond if 0.0 < cond < math.inf else math.inf
+    if rounding > _MAX_MI_ROUNDING_BITS:
         raise NumericError(
-            f"conditional variance V_A|y = {cond} at mu = {mu} is not finite and positive "
+            f"conditional variance V_A|y = {cond} at mu = {mu} is lost to cancellation "
+            f"against V_A = {va}: rounding error above {_MAX_MI_ROUNDING_BITS} bits "
             "(float precision limit)"
         )
     mi = 0.5 * math.log2(va / cond)

@@ -10,13 +10,13 @@ Conventions used throughout the package:
 States are represented by :class:`CovMat`.  First moments are never tracked:
 every quantity computed here is invariant under displacements, and the one
 consumer that needs outcome statistics (the protocol simulator) works with
-scalar moments directly.
+scalar moments directly.  Each state is diagonalised once, when validated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,8 @@ Z2 = np.diag([1.0, -1.0])
 # last few bits; physicality allows symplectic eigenvalues to undershoot 1 by
 # at most 1e-9 before a state is declared unphysical (smaller undershoots are
 # clamped to exactly 1 so the entropy function never sees a negative photon
-# number).
+# number).  The symplectic-matrix check scales with max|S|^2, the size of the
+# rounding in S Omega S^T.
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 DISCRIMINANT_ATOL = 1e-9
@@ -146,10 +147,12 @@ class CovMat:
     Validated on construction: the array must be 2n x 2n, symmetric (within
     1e-12 relative to its largest entry), positive definite, and satisfy the
     uncertainty relation (every symplectic eigenvalue >= 1 - 1e-9).  The
-    stored array is read-only; all operations return new instances.
+    stored array is read-only, and the spectrum found is kept in ``_nu`` for
+    spectra and entropies; all operations return new instances.
     """
 
     entries: np.ndarray
+    _nu: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -165,7 +168,7 @@ class CovMat:
         m = 0.5 * (m + m.T)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        _symplectic_eigenvalues(m)
+        object.__setattr__(self, "_nu", tuple(_symplectic_eigenvalues(m).tolist()))
 
     @property
     def n_modes(self) -> int:
@@ -185,14 +188,12 @@ class SymplecticSpectrum:
 
 def symplectic_spectrum(state: CovMat) -> SymplecticSpectrum:
     """Symplectic eigenvalues of ``state`` (Williamson normal-form diagonal)."""
-    nu = _symplectic_eigenvalues(state.entries)
-    return SymplecticSpectrum(values=tuple(float(v) for v in nu))
+    return SymplecticSpectrum(values=state._nu)
 
 
 def von_neumann_entropy(state: CovMat) -> float:
     """Entropy of a Gaussian state in bits: sum of g((nu_k - 1) / 2)."""
-    nu = _symplectic_eigenvalues(state.entries)
-    return float(sum(entropy_g((v - 1.0) / 2.0) for v in nu))
+    return float(sum(entropy_g((v - 1.0) / 2.0) for v in state._nu))
 
 
 def vacuum(n_modes: int = 1) -> CovMat:
@@ -278,7 +279,7 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     """Apply a symplectic matrix to the listed modes: V -> S V S^T.
 
     ``s`` must be 2m x 2m for the m distinct modes given and must preserve
-    the symplectic form to 1e-10.
+    the symplectic form to 1e-10 times max(1, max|S|^2).
     """
     modes = [int(k) for k in modes]
     s = np.asarray(s, dtype=float)
@@ -290,7 +291,8 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
             f"symplectic matrix must be {2 * m} x {2 * m} for {m} modes, got {s.shape}"
         )
     omega = symplectic_form(m)
-    if float(np.abs(s @ omega @ s.T - omega).max()) > SYMPLECTIC_ATOL:
+    bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
+    if float(np.abs(s @ omega @ s.T - omega).max()) > bound:
         raise DomainError("matrix is not symplectic")
     embed = np.eye(2 * state.n_modes)
     idx = [j for k in modes for j in (2 * k, 2 * k + 1)]
@@ -324,5 +326,4 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     idx = [j for mm in range(state.n_modes) if mm != k for j in (2 * mm, 2 * mm + 1)]
     a = state.entries[np.ix_(idx, idx)]
     c = state.entries[idx, col]
-    out = a - np.outer(c, c) / v
-    return CovMat(0.5 * (out + out.T))
+    return CovMat(a - np.outer(c, c) / v)

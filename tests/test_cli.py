@@ -335,3 +335,13 @@ def test_domain_errors_name_the_flag_at_fault(args, flag):
 
 def test_missing_noise_flag_is_a_usage_error_at_unit_transmission():
     assert _run(["rates", "--tau", "1"]).exit_code == 2
+
+
+def test_verify_refuses_rate_lost_to_cancellation():
+    # at mu = 1e16 V_A|y reads 4.0 where it should be 3.2: the printed rate
+    # would be 0.381 against a closed form of 0.263
+    result = _run(["verify", "--tau", "0.5", "--nbar", "0.1", "--mu", "1e16", "--ports", "trusted"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --tau/--mu: ")
+    assert "float precision limit" in result.stderr
+    assert result.stdout == ""

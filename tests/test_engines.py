@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import gausskey.symplectic
 from gausskey import (
     ConvergenceRow,
     DomainError,
+    NumericError,
     UnsupportedChannelError,
     ci_finite_mu,
     convergence_table,
@@ -18,6 +20,7 @@ from gausskey import (
     protocol_holevo_information,
     protocol_rate_numeric,
     q1g_interior,
+    r_rev,
     r_rev_interior,
     rci_finite_mu,
     von_neumann_entropy,
@@ -169,6 +172,33 @@ def test_protocol_rejects_channels_without_two_mode_dilation():
         protocol_rate_numeric(make_canonical(0.0, nbar=0.3), 10.0)
     with pytest.raises(UnsupportedChannelError, match="attenuating or amplifying"):
         protocol_rate_numeric(make_canonical(-0.5, nbar=0.0), 10.0)
+
+
+def test_protocol_rate_refuses_cancelled_conditional_variance():
+    ch = make_canonical(0.5, nbar=0.1)
+    # mu = 1e10 keeps ~7e-7 bits of rounding in V_A|y; mu = 1e12 would be
+    # 3.4e-5 bits off the closed form and is refused
+    assert protocol_rate_numeric(ch, 1e10) == pytest.approx(r_rev(ch), abs=1e-6)
+    with pytest.raises(NumericError, match="float precision limit") as info:
+        protocol_rate_numeric(ch, 1e12)
+    assert info.value.field is None
+
+
+@pytest.mark.parametrize(
+    "engine, calls",
+    [(rci_finite_mu, 3), (ci_finite_mu, 3), (protocol_rate_numeric, 10)],
+)
+def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls):
+    seen = []
+    spectrum = gausskey.symplectic._symplectic_eigenvalues
+
+    def counting(m):
+        seen.append(m.shape)
+        return spectrum(m)
+
+    monkeypatch.setattr(gausskey.symplectic, "_symplectic_eigenvalues", counting)
+    engine(make_canonical(0.5, nbar=0.1), 100.0)
+    assert len(seen) == calls
 
 
 def test_engine_argument_validation():

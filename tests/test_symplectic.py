@@ -185,6 +185,19 @@ def test_apply_symplectic_identity_and_validation():
         gk.apply_symplectic(state, np.eye(4), (0, 0))
 
 
+def test_symplectic_check_scales_with_the_matrix():
+    # gain 1e6 has entries ~1e3, so float rounding alone leaves a defect of
+    # ~1e-10 in S Omega S^T, above an absolute 1e-10 bound
+    squeezer = gk.two_mode_squeezer(1e6)
+    out = gk.apply_symplectic(gk.vacuum(2), squeezer, (0, 1))
+    np.testing.assert_allclose(out.entries, gk.tmsv(2e6 - 1.0).entries, rtol=1e-12)
+    perturbed = squeezer.copy()
+    perturbed[0, 0] *= 1.0 + 1e-6
+    for bad in (2.0 * np.eye(4), perturbed):
+        with pytest.raises(DomainError, match="not symplectic"):
+            gk.apply_symplectic(gk.vacuum(2), bad, (0, 1))
+
+
 def test_beam_splitter_on_vacuum_is_vacuum():
     out = gk.apply_symplectic(gk.vacuum(2), gk.beam_splitter(0.3), (0, 1))
     np.testing.assert_allclose(out.entries, np.eye(4), atol=1e-14)
@@ -241,6 +254,20 @@ def test_homodyne_validation():
     squeezed = gk.CovMat(np.diag([1e-13, 1e13, 1.0, 1.0]))
     with pytest.raises(DegenerateMeasurementError):
         gk.homodyne_condition(squeezed, measured_mode=0, quadrature="q")
+
+
+def test_spectrum_is_computed_once_at_validation(monkeypatch):
+    rng = np.random.default_rng(17)
+    states = [random_state(rng, n)[0] for n in (1, 2, 3, 4)] + [gk.tmsv(1e4)]
+    spectra = [gk.symplectic_spectrum(s) for s in states]
+    entropies = [gk.von_neumann_entropy(s) for s in states]
+
+    def fail(m):
+        raise AssertionError("spectrum recomputed after validation")
+
+    monkeypatch.setattr(gk.symplectic, "_symplectic_eigenvalues", fail)
+    assert [gk.symplectic_spectrum(s) for s in states] == spectra
+    assert [gk.von_neumann_entropy(s) for s in states] == entropies
 
 
 def test_covmat_validation():
