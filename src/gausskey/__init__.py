@@ -13,137 +13,21 @@ channel parameter plane (`thresholds`), and a seeded Monte Carlo of the
 homodyne reverse-reconciliation protocol (`sim`).
 """
 
-from .channels import CanonicalChannel, Dilation, apply_channel, apply_dilation, dilate, make_canonical
-from .engines import (
-    ENGINES,
-    PORT_MODELS,
-    ConvergenceRow,
-    ci_finite_mu,
-    convergence_table,
-    protocol_holevo_information,
-    protocol_rate_numeric,
-    rci_finite_mu,
-)
-from .errors import (
-    DegenerateMeasurementError,
-    DomainError,
-    EmptyStatisticsError,
-    GaussKeyError,
-    InvalidStateError,
-    NumericError,
-    UnsupportedChannelError,
-)
-from .rates import (
-    RateReport,
-    e_r,
-    e_r_interior,
-    mixing_lambda,
-    q1g,
-    q1g_interior,
-    r_rev,
-    r_rev_interior,
-    rate_report,
-)
-from .sim import (
-    SimConfig,
-    SimStats,
-    analytic_moments,
-    gaussian_mutual_information,
-    moment_standard_errors,
-    rounds_to_csv,
-    simulate,
-)
-from .symplectic import (
-    CovMat,
-    SymplecticSpectrum,
-    apply_symplectic,
-    balanced_beam_splitter,
-    beam_splitter,
-    entropy_g,
-    homodyne_condition,
-    partial_trace,
-    symplectic_form,
-    symplectic_spectrum,
-    tensor,
-    thermal,
-    tmsv,
-    two_mode_squeezer,
-    vacuum,
-    von_neumann_entropy,
-)
-from .thresholds import (
-    RATE_IDS,
-    RegionLabel,
-    ThresholdCurve,
-    ThresholdRow,
-    classify,
-    curve_to_csv,
-    sweep,
-    threshold_eps,
-)
+from . import channels, engines, errors, rates, sim, symplectic, thresholds
+from .channels import *
+from .engines import *
+from .errors import *
+from .rates import *
+from .sim import *
+from .symplectic import *
+from .thresholds import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names; the package
+# republishes them all.
 __all__ = [
-    "CanonicalChannel",
-    "ConvergenceRow",
-    "CovMat",
-    "DegenerateMeasurementError",
-    "Dilation",
-    "DomainError",
-    "ENGINES",
-    "EmptyStatisticsError",
-    "GaussKeyError",
-    "InvalidStateError",
-    "NumericError",
-    "PORT_MODELS",
-    "RATE_IDS",
-    "RateReport",
-    "RegionLabel",
-    "SimConfig",
-    "SimStats",
-    "SymplecticSpectrum",
-    "ThresholdCurve",
-    "ThresholdRow",
-    "UnsupportedChannelError",
-    "analytic_moments",
-    "apply_channel",
-    "apply_dilation",
-    "apply_symplectic",
-    "balanced_beam_splitter",
-    "beam_splitter",
-    "ci_finite_mu",
-    "classify",
-    "convergence_table",
-    "curve_to_csv",
-    "dilate",
-    "e_r",
-    "e_r_interior",
-    "entropy_g",
-    "gaussian_mutual_information",
-    "homodyne_condition",
-    "make_canonical",
-    "mixing_lambda",
-    "moment_standard_errors",
-    "partial_trace",
-    "protocol_holevo_information",
-    "protocol_rate_numeric",
-    "q1g",
-    "q1g_interior",
-    "r_rev",
-    "r_rev_interior",
-    "rate_report",
-    "rci_finite_mu",
-    "rounds_to_csv",
-    "simulate",
-    "sweep",
-    "symplectic_form",
-    "symplectic_spectrum",
-    "tensor",
-    "thermal",
-    "threshold_eps",
-    "tmsv",
-    "two_mode_squeezer",
-    "vacuum",
-    "von_neumann_entropy",
+    name
+    for module in (channels, engines, errors, rates, sim, symplectic, thresholds)
+    for name in module.__all__
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .channels import make_canonical
-from .engines import convergence_table, protocol_rate_numeric
+from .engines import ENGINES, PORT_MODELS, convergence_table, protocol_rate_numeric
 from .errors import GaussKeyError
 from .rates import r_rev, rate_report
 from .sim import SimConfig, rounds_to_csv, simulate
@@ -155,7 +155,7 @@ def thresholds(tau_min, tau_max, steps, tol, out, svg):
 @click.option("--nbar", type=float, required=True, help="Environment temperature.")
 @click.option("--mu-list", required=True,
               help="Comma-separated source variances, e.g. 1,10,100,1000.")
-@click.option("--engine", type=click.Choice(["rci", "ci", "protocol"]), default="rci",
+@click.option("--engine", type=click.Choice(ENGINES), default="rci",
               show_default=True, help="Which finite-squeezing engine to run.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def converge(tau, nbar, mu_list, engine, as_json):
@@ -199,7 +199,7 @@ def converge(tau, nbar, mu_list, engine, as_json):
 @click.option("--tau", type=float, required=True, help="Channel transmission (0 < tau, tau != 1).")
 @click.option("--nbar", type=float, required=True, help="Environment temperature.")
 @click.option("--mu", type=float, required=True, help="Source variance (> 1).")
-@click.option("--ports", type=click.Choice(["trusted", "untrusted"]), required=True,
+@click.option("--ports", type=click.Choice(PORT_MODELS), required=True,
               help="Whether the discarded beam-splitter port stays out of the eavesdropper's hands.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def verify(tau, nbar, mu, ports, as_json):

@@ -32,8 +32,8 @@ from .errors import DomainError, NumericError, UnsupportedChannelError
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
-    balanced_beam_splitter,
     apply_symplectic,
+    beam_splitter,
     homodyne_condition,
     partial_trace,
     tensor,
@@ -113,7 +113,7 @@ def _protocol_state(ch: CanonicalChannel, mu: float) -> CovMat:
     """Five-mode pure state (Alice, kept port, env out, env purifier, discarded)."""
     state, _ = apply_dilation(tmsv(mu), dilate(ch), mode=1)
     state = tensor(state, vacuum(1))
-    return apply_symplectic(state, balanced_beam_splitter(), (1, 4))
+    return apply_symplectic(state, beam_splitter(0.5), (1, 4))
 
 
 def _eve_modes(port_model: str) -> tuple[int, ...]:

@@ -6,6 +6,16 @@ argument fails its check; every other error, such as a state an engine built
 itself, has ``field`` None.
 """
 
+__all__ = [
+    "GaussKeyError",
+    "DomainError",
+    "InvalidStateError",
+    "NumericError",
+    "UnsupportedChannelError",
+    "DegenerateMeasurementError",
+    "EmptyStatisticsError",
+]
+
 
 class GaussKeyError(Exception):
     """Base class for every error raised by this package."""

@@ -40,7 +40,6 @@ __all__ = [
     "von_neumann_entropy",
     "partial_trace",
     "beam_splitter",
-    "balanced_beam_splitter",
     "two_mode_squeezer",
     "apply_symplectic",
     "homodyne_condition",
@@ -75,14 +74,14 @@ def entropy_g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number ``x``.
 
     g(x) = (x + 1) log2(x + 1) - x log2(x), extended continuously to
-    g(0) = 0.  Strictly increasing for x >= 0.  Evaluated as
-    [log1p(x) + x log(1 + 1/x)] / ln 2, which has no cancellation at large x;
-    below x = 1 the second logarithm is log1p(x) - log(x), since 1/x
-    overflows for subnormal x.
+    g(0) = 0.  Strictly increasing for finite x >= 0; any other x raises.
+    Evaluated as [log1p(x) + x log(1 + 1/x)] / ln 2, which has no
+    cancellation at large x; below x = 1 the second logarithm is
+    log1p(x) - log(x), since 1/x overflows for subnormal x.
     """
     x = float(x)
-    if x < 0.0:
-        raise DomainError(f"entropy_g requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"entropy_g requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     head = math.log1p(x)
@@ -258,11 +257,6 @@ def beam_splitter(eta: float) -> np.ndarray:
     t = math.sqrt(eta)
     r = math.sqrt(1.0 - eta)
     return np.block([[t * I2, r * I2], [-r * I2, t * I2]])
-
-
-def balanced_beam_splitter() -> np.ndarray:
-    """50:50 beam-splitter symplectic."""
-    return beam_splitter(0.5)
 
 
 def two_mode_squeezer(gain: float) -> np.ndarray:

@@ -48,7 +48,6 @@ RATE_IDS = tuple(_INTERIORS)
 TAU_ONE_SKIP = 1e-6
 
 _BRACKET_DOUBLINGS = 200
-_BISECT_MAX_ITER = 300
 
 
 class ThresholdRow(NamedTuple):
@@ -87,18 +86,24 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> fl
 
     Runs until the bracket is narrower than tol and the interior at the
     midpoint is within tol of zero, so callers can rely on both guarantees.
+    Raises ``NumericError`` once the bracket can no longer be halved in
+    floating point before both hold.
     """
-    mid = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITER):
+    while True:
         mid = 0.5 * (lo + hi)
         val = f(mid)
         if hi - lo <= tol and abs(val) <= tol:
             return mid
+        if mid in (lo, hi):
+            raise NumericError(
+                f"tolerance {tol} is out of reach: the eps bracket [{lo}, {hi}] "
+                "cannot be halved further (float precision limit)",
+                field="tol",
+            )
         if val > 0.0:
             lo = mid
         else:
             hi = mid
-    return mid
 
 
 def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
@@ -121,16 +126,21 @@ def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
     return _bisect(f, 0.0, hi, tol)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}", field="tol")
+
+
 def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     """Smallest eps >= 0 at which the rate reaches zero, to tolerance ``tol``.
 
     Returns 0.0 whenever the rate is already zero at eps = 0.  Positive
-    returns satisfy |interior(eps)| <= tol.
+    returns satisfy |interior(eps)| <= tol; a tol too fine for float
+    precision raises ``NumericError``.
     """
     if rate_id not in _INTERIORS:
         raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}", field="rate_id")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}", field="tol")
+    _check_tol(tol)
     return _threshold_impl(rate_id, float(tau), tol)
 
 
@@ -147,8 +157,7 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
             f"need finite tau_max >= tau_min, got [{tau_min}, {tau_max}]",
             field="tau_min/tau_max",
         )
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}", field="tol")
+    _check_tol(tol)
     taus = np.linspace(float(tau_min), float(tau_max), int(steps))
     rows = []
     for t in taus:

@@ -264,6 +264,16 @@ def test_thresholds_flag_validation(tmp_path):
         assert named in result.stderr
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e-17"])
+def test_thresholds_rejects_unreachable_tolerance(tmp_path, tol):
+    out = tmp_path / "x.csv"
+    args = ["thresholds", "--tau-min", "0.2", "--tau-max", "0.8", "--steps", "3"]
+    result = _run(args + ["--tol", tol, "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --tol: ")
+    assert not out.exists()
+
+
 def test_classify_region_text():
     beats = _run(["classify", "--tau", "0.4", "--eps", "0.05"])
     assert beats.exit_code == 0

@@ -12,6 +12,7 @@ from gausskey.errors import (
     EmptyStatisticsError,
     GaussKeyError,
     InvalidStateError,
+    NumericError,
     UnsupportedChannelError,
 )
 
@@ -60,6 +61,10 @@ def _sim(**changes):
         (lambda: gk.sweep(0.2, math.nan, 5), DomainError, "tau_min/tau_max"),
         (lambda: gk.sweep(0.9999995, 1.0000005, 3), DomainError, "tau_min/tau_max"),
         (lambda: gk.threshold_eps("e_r", 0.5, tol=-1.0), DomainError, "tol"),
+        (lambda: gk.sweep(0.2, 0.8, 3, tol=math.inf), DomainError, "tol"),
+        # a bracket of one ulp cannot reach |interior| <= 1e-17
+        (lambda: gk.threshold_eps("e_r", 0.5, tol=1e-17), NumericError, "tol"),
+        (lambda: gk.sweep(0.2, 0.8, 3, tol=1e-17), NumericError, "tol"),
         (lambda: gk.threshold_eps("k_rev", 0.5), DomainError, "rate_id"),
     ],
 )

@@ -20,7 +20,7 @@ from gausskey import (
     analytic_moments,
     apply_channel,
     apply_symplectic,
-    balanced_beam_splitter,
+    beam_splitter,
     gaussian_mutual_information,
     make_canonical,
     moment_standard_errors,
@@ -62,7 +62,7 @@ def test_analytic_moments_match_state_pipeline(tau, nbar):
     mu = 7.0
     ch = make_canonical(tau, nbar=nbar)
     state = apply_channel(tmsv(mu), ch, mode=1)
-    mixed = apply_symplectic(tensor(state, vacuum(1)), balanced_beam_splitter(), (1, 2))
+    mixed = apply_symplectic(tensor(state, vacuum(1)), beam_splitter(0.5), (1, 2))
     v = mixed.entries
     for basis, row in (("q", 0), ("p", 1)):
         want = analytic_moments(tau, nbar, mu, basis=basis)
