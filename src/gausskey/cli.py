@@ -20,9 +20,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
-import numpy as np
 
 from . import __version__
 from .channels import make_canonical
@@ -57,8 +57,6 @@ def _jsonable(value, digits: int):
         if math.isfinite(value):
             return float(f"{value:.{digits}g}")
         return value
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist(), digits)
     if isinstance(value, dict):
         return {k: _jsonable(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -182,10 +180,7 @@ def converge(tau, nbar, mu_list, engine, as_json):
                 "tau": ch.tau,
                 "nbar": ch.nbar,
                 "engine": engine,
-                "rows": [
-                    {"mu": r.mu, "value": r.value, "target": r.target, "gap": r.gap}
-                    for r in rows
-                ],
+                "rows": [asdict(r) for r in rows],
             }
         )
         return
@@ -253,16 +248,7 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
             stats = simulate(cfg)
     except GaussKeyError as exc:
         _fail_domain(exc, "--mu/--rounds")
-    payload = {
-        "tau": tau,
-        "nbar": nbar,
-        "mu": mu,
-        "rounds": rounds,
-        "seed": seed,
-        "mode": mode,
-        **stats.as_dict(),
-    }
-    _emit_json(payload, pretty=not as_json)
+    _emit_json({**asdict(cfg), **stats.as_dict()}, pretty=not as_json)
 
 
 @cli.command("classify")
@@ -275,27 +261,15 @@ def classify_cmd(tau, eps, as_json):
         label = classify(tau, eps)
     except GaussKeyError as exc:
         _fail_domain(exc, "--tau/--eps")
+    flags = asdict(label)
     region = _region_text(label)
     if as_json:
-        _emit_json(
-            {
-                "tau": tau,
-                "eps": eps,
-                "antidegradable": label.antidegradable,
-                "e_r_positive": label.e_r_positive,
-                "q1g_positive": label.q1g_positive,
-                "r_rev_positive": label.r_rev_positive,
-                "reverse_beats_antidegradability": label.reverse_beats_antidegradability,
-                "region": region,
-            }
-        )
+        _emit_json({"tau": tau, "eps": eps, **flags, "region": region})
         return
     click.echo(f"tau={_fmt(tau)} eps={_fmt(eps)}")
-    click.echo(f"antidegradable                  = {label.antidegradable}")
-    click.echo(f"e_r_positive                    = {label.e_r_positive}")
-    click.echo(f"q1g_positive                    = {label.q1g_positive}")
-    click.echo(f"r_rev_positive                  = {label.r_rev_positive}")
-    click.echo(f"reverse_beats_antidegradability = {label.reverse_beats_antidegradability}")
+    width = max(map(len, flags))
+    for name, value in flags.items():
+        click.echo(f"{name:<{width}} = {value}")
     click.echo(f"region: {region}")
 
 

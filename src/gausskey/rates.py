@@ -25,7 +25,7 @@ With d = |1 - tau|, w = 2 nbar + 1 and g the thermal entropy function:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .channels import CanonicalChannel
 from .symplectic import entropy_g
@@ -113,16 +113,7 @@ class RateReport:
     w: float
 
     def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "nbar": self.nbar,
-            "eps": self.eps,
-            "e_r": self.e_r,
-            "q1g": self.q1g,
-            "r_rev": self.r_rev,
-            "lambda": self.lam,
-            "w": self.w,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 def rate_report(ch: CanonicalChannel) -> RateReport:

@@ -35,7 +35,7 @@ independent of summation order and chunking as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,15 +117,10 @@ class SimStats:
     rng: str = RNG_DESCRIPTION
 
     def as_dict(self) -> dict:
-        return {
-            "kept_rounds": self.kept_rounds,
-            "empirical_cov": [[float(v) for v in row] for row in self.empirical_cov],
-            "analytic_cov": [[float(v) for v in row] for row in self.analytic_cov],
-            "mi_empirical": self.mi_empirical,
-            "mi_analytic": self.mi_analytic,
-            "sift_ratio": self.sift_ratio,
-            "rng": self.rng,
-        }
+        d = asdict(self)
+        for k in ("empirical_cov", "analytic_cov"):
+            d[k] = d[k].tolist()
+        return d
 
 
 def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np.ndarray:
@@ -146,8 +141,8 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
         raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0
     c = math.sqrt(abs(ch.tau) * (mu * mu - 1.0) / 2.0)
-    if basis == "p" and ch.tau > 0.0:
-        c = -c
+    if basis == "p":
+        c *= _p_alignment_sign(ch.tau)
     return np.array([[mu, c], [c, vb]])
 
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateMeasurementError,
-    DomainError,
-    InvalidStateError,
-    NumericError,
-)
+from .errors import DegenerateMeasurementError, DomainError, InvalidStateError
 
 __all__ = [
     "CovMat",
@@ -57,7 +52,6 @@ Z2 = np.diag([1.0, -1.0])
 # rounding in S Omega S^T.
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
-DISCRIMINANT_ATOL = 1e-9
 SYMPLECTIC_ATOL = 1e-10
 
 _LN2 = math.log(2.0)
@@ -97,15 +91,13 @@ def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a raw covariance array, descending, each >= 1.
 
     Raises if the array fails positive definiteness or the uncertainty bound.
-    n = 1 uses sqrt(det V).  For n >= 2 the spectrum comes from the Hermitian
-    matrix i sqrt(V) Omega sqrt(V), whose eigenvalues are +-nu_k: this is
-    algebraically identical to the two-mode quadratic in Delta and det V but
-    stays accurate near degenerate spectra, where the quadratic's clamped
-    square root turns O(eps * scale^2) rounding in the discriminant into
-    O(sqrt(eps) * scale) error in nu (a tmsv state already trips the
-    uncertainty check at mu ~ 100 that way).  For n = 2 the discriminant is
-    still screened so a complex closed-form spectrum fails loudly instead of
-    sneaking through the eigensolver.
+    n = 1 uses the exact closed form sqrt(det V).  For n >= 2 the spectrum
+    comes from the Hermitian matrix i sqrt(V) Omega sqrt(V), whose
+    eigenvalues are +-nu_k: this is algebraically identical to the two-mode
+    quadratic in Delta and det V but stays accurate near degenerate spectra,
+    where the quadratic's clamped square root turns O(eps * scale^2) rounding
+    in the discriminant into O(sqrt(eps) * scale) error in nu (a tmsv state
+    already trips the uncertainty check at mu ~ 100 that way).
 
     Validation tolerances scale with the largest entry: float error in the
     eigenvalues grows with the matrix norm, and an absolute 1e-9 band would
@@ -119,11 +111,6 @@ def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
             raise InvalidStateError("covariance matrix is not positive definite")
         nu = np.array([math.sqrt(det)])
     else:
-        if n == 2:
-            delta = _det2(m[0:2, 0:2]) + _det2(m[2:4, 2:4]) + 2.0 * _det2(m[0:2, 2:4])
-            disc = delta * delta - 4.0 * float(np.linalg.det(m))
-            if disc < -DISCRIMINANT_ATOL * scale * scale:
-                raise NumericError(f"negative symplectic discriminant {disc}")
         evals, vecs = np.linalg.eigh(m)
         if evals[0] <= -SYMMETRY_ATOL * scale:
             raise InvalidStateError("covariance matrix is not positive definite")

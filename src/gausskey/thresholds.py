@@ -178,7 +178,7 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
 def curve_to_csv(curve: ThresholdCurve) -> str:
     """Fixed CSV schema: header ``tau,eps_q,eps_r,eps_rev``, 12 significant
     digits, '.' decimal separator, LF newlines."""
-    lines = ["tau,eps_q,eps_r,eps_rev"]
+    lines = [",".join(ThresholdRow._fields)]
     for row in curve.rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"

@@ -355,3 +355,66 @@ def test_verify_refuses_rate_lost_to_cancellation():
     assert result.stderr.startswith("error: --tau/--mu: ")
     assert "float precision limit" in result.stderr
     assert result.stdout == ""
+
+
+def test_rates_json_key_order():
+    result = _run(["rates", "--tau", "0.9", "--nbar", "0.1", "--json"])
+    assert list(json.loads(result.output)) == [
+        "tau", "nbar", "eps", "e_r", "q1g", "r_rev", "lambda", "w",
+    ]
+
+
+def test_classify_json_key_order():
+    result = _run(["classify", "--tau", "0.4", "--eps", "0.1", "--json"])
+    assert list(json.loads(result.output)) == [
+        "tau",
+        "eps",
+        "antidegradable",
+        "e_r_positive",
+        "q1g_positive",
+        "r_rev_positive",
+        "reverse_beats_antidegradability",
+        "region",
+    ]
+
+
+def test_classify_text_layout():
+    result = _run(["classify", "--tau", "0.4", "--eps", "0.1"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "tau=0.4 eps=0.1",
+        "antidegradable                  = True",
+        "e_r_positive                    = True",
+        "q1g_positive                    = False",
+        "r_rev_positive                  = True",
+        "reverse_beats_antidegradability = True",
+        "region: antidegradable; K_rev ≥ E_R > 0",
+    ]
+
+
+def test_converge_json_key_order():
+    args = ["converge", "--tau", "0.6", "--nbar", "0.2", "--mu-list", "10,100", "--json"]
+    payload = json.loads(_run(args).output)
+    assert list(payload) == ["tau", "nbar", "engine", "rows"]
+    for row in payload["rows"]:
+        assert list(row) == ["mu", "value", "target", "gap"]
+
+
+def test_simulate_json_key_order():
+    args = ["simulate", "--tau", "0.6", "--nbar", "0.2", "--mu", "10", "--rounds", "200",
+            "--seed", "7", "--mode", "sifted", "--json"]
+    assert list(json.loads(_run(args).output)) == [
+        "tau",
+        "nbar",
+        "mu",
+        "rounds",
+        "seed",
+        "mode",
+        "kept_rounds",
+        "empirical_cov",
+        "analytic_cov",
+        "mi_empirical",
+        "mi_analytic",
+        "sift_ratio",
+        "rng",
+    ]

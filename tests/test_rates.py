@@ -77,6 +77,11 @@ def test_rate_report_as_dict_uses_lambda_key():
     assert d["e_r"] == pytest.approx(E_R_09_01, abs=1e-12)
 
 
+
+def test_rate_report_as_dict_key_order():
+    d = gk.rate_report(ch(0.9, 0.1)).as_dict()
+    assert list(d) == ["tau", "nbar", "eps", "e_r", "q1g", "r_rev", "lambda", "w"]
+
 def test_rates_nonnegative_and_clipping():
     rng = np.random.default_rng(29)
     for _ in range(200):

@@ -399,3 +399,16 @@ def test_protocol_rate_reports_lost_conditional_variance():
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert "float precision limit" in result.stderr
+
+
+def test_stats_as_dict_key_order():
+    stats = simulate(SimConfig(tau=0.5, nbar=0.0, mu=5.0, rounds=100, seed=4))
+    assert list(stats.as_dict()) == [
+        "kept_rounds",
+        "empirical_cov",
+        "analytic_cov",
+        "mi_empirical",
+        "mi_analytic",
+        "sift_ratio",
+        "rng",
+    ]

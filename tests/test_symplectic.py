@@ -286,6 +286,16 @@ def test_covmat_validation():
         gk.CovMat(np.diag([4.0, 0.1]))  # nu < 1
 
 
+
+def test_indefinite_two_mode_matrices_are_invalid_states():
+    # Symmetric but indefinite: the positive-definiteness check must name
+    # the fault, whatever sign the two-mode discriminant happens to take.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a = rng.normal(size=(4, 4))
+        with pytest.raises(InvalidStateError, match="not positive definite"):
+            gk.CovMat(a + a.T)
+
 def test_covmat_entries_read_only():
     state = gk.vacuum(1)
     with pytest.raises(ValueError):
