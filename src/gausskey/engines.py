@@ -88,8 +88,8 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
 
 def _source_through_channel(ch: CanonicalChannel, mu: float) -> CovMat:
     mu = float(mu)
-    if mu < 1.0:
-        raise DomainError(f"source variance mu must be >= 1, got {mu}")
+    if not 1.0 <= mu < math.inf:
+        raise DomainError(f"source variance mu must be >= 1 and finite, got {mu}")
     return apply_channel(tmsv(mu), ch, mode=1)
 
 
@@ -103,9 +103,9 @@ def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis
             f"protocol engine needs an attenuating or amplifying channel, "
             f"got class {ch.class_label}"
         )
-    if float(mu) < MIN_PROTOCOL_MU:
+    if not MIN_PROTOCOL_MU <= float(mu) < math.inf:
         raise DomainError(
-            f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning, got {mu}"
+            f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, got {mu}"
         )
 
 

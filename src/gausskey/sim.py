@@ -135,8 +135,8 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     """
     ch = make_canonical(float(tau), nbar=float(nbar))
     mu = float(mu)
-    if mu < 1.0:
-        raise DomainError(f"source variance mu must be >= 1, got {mu}")
+    if not 1.0 <= mu < math.inf:
+        raise DomainError(f"source variance mu must be >= 1 and finite, got {mu}")
     if basis not in ("q", "p"):
         raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0

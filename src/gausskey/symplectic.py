@@ -205,8 +205,8 @@ def tmsv(mu: float) -> CovMat:
     anticorrelated.  Pure for every mu >= 1 (mu = 1 is the two-mode vacuum).
     """
     mu = float(mu)
-    if mu < 1.0:
-        raise DomainError(f"tmsv quadrature variance must be >= 1, got {mu}")
+    if not 1.0 <= mu < math.inf:
+        raise DomainError(f"tmsv quadrature variance must be >= 1 and finite, got {mu}")
     c = math.sqrt(mu * mu - 1.0)
     return CovMat(np.block([[mu * I2, c * Z2], [c * Z2, mu * I2]]))
 

@@ -3,8 +3,9 @@
 For each rate bound the threshold is the smallest scaled noise eps at which
 the rate reaches zero at fixed transmission.  The search runs on the signed
 interiors, which decrease from a positive value at eps = 0 (when the rate is
-positive at all) through zero: bisection to an absolute eps tolerance, with
-the upper bracket doubled until the interior goes negative.
+positive at all) through zero: the upper bracket is doubled until the
+interior goes negative, then Illinois false position closes the bracket to
+an absolute eps tolerance.
 
 All three searches assume that their interior never rises as eps grows, so
 that it changes sign at most once.  For ``e_r`` and ``q1g`` this follows from
@@ -81,29 +82,46 @@ class RegionLabel:
     reverse_beats_antidegradability: bool
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a sign change on [lo, hi] with f(lo) > 0 >= f(hi).
+def _false_position(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, tol: float
+) -> float:
+    """Root of a sign change on [lo, hi], given f_lo = f(lo) > 0 >= f_hi = f(hi).
 
-    Runs until the bracket is narrower than tol and the interior at the
-    midpoint is within tol of zero, so callers can rely on both guarantees.
-    Raises ``NumericError`` once the bracket can no longer be halved in
-    floating point before both hold.
+    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168-174): each
+    step is the secant point of the weighted end values, kept at least tol/4
+    inside the bracket, and an end that keeps its place twice in a row has its
+    weight halved, so the bracket closes from both sides.  Once it is narrower
+    than tol, a plain secant step across it is returned if the interior there
+    is within tol of zero, so callers can rely on both guarantees; an exact
+    zero is returned at once.  A step that cannot split the bracket in floating
+    point falls back to the midpoint, and ``NumericError`` is raised once that
+    cannot split it either.
     """
+    w_lo, w_hi, moved = f_lo, f_hi, 0
     while True:
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if hi - lo <= tol and abs(val) <= tol:
-            return mid
-        if mid in (lo, hi):
-            raise NumericError(
-                f"tolerance {tol} is out of reach: the eps bracket [{lo}, {hi}] "
-                "cannot be halved further (float precision limit)",
-                field="tol",
-            )
-        if val > 0.0:
-            lo = mid
+        narrow = hi - lo <= tol
+        if narrow:
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
         else:
-            hi = mid
+            x = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+            x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise NumericError(
+                    f"tolerance {tol} is out of reach: the eps bracket [{lo}, {hi}] "
+                    "cannot be split further (float precision limit)",
+                    field="tol",
+                )
+        val = f(x)
+        if val == 0.0 or narrow and abs(val) <= tol:
+            return x
+        if val > 0.0:
+            w_hi *= 0.5 if moved == 1 else 1.0
+            lo, f_lo, w_lo, moved = x, val, val, 1
+        else:
+            w_lo *= 0.5 if moved == -1 else 1.0
+            hi, f_hi, w_hi, moved = x, val, val, -1
 
 
 def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
@@ -112,18 +130,15 @@ def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
     def f(eps: float) -> float:
         return interior(make_canonical(tau, eps=eps))
 
-    if f(0.0) <= 0.0:
+    lo, f_lo, hi = 0.0, f(0.0), 1.0
+    if f_lo <= 0.0:
         return 0.0
-    hi = 1.0
     for _ in range(_BRACKET_DOUBLINGS):
-        if f(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericError(
-            f"could not bracket the {rate_id} threshold at tau = {tau}"
-        )
-    return _bisect(f, 0.0, hi, tol)
+        f_hi = f(hi)
+        if f_hi <= 0.0:
+            return _false_position(f, lo, hi, f_lo, f_hi, tol)
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+    raise NumericError(f"could not bracket the {rate_id} threshold at tau = {tau}")
 
 
 def _check_tol(tol: float) -> None:

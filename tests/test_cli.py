@@ -357,6 +357,22 @@ def test_verify_refuses_rate_lost_to_cancellation():
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("mu", ["inf", "nan"])
+def test_verify_rejects_non_finite_mu_without_a_warning(mu):
+    # A separate process, so that a numpy RuntimeWarning would reach stderr
+    # instead of the suite's warning filter.
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskey.__file__).resolve().parents[1])}
+    args = ["verify", "--tau", "0.5", "--nbar", "0.1", "--mu", mu, "--ports", "trusted"]
+    out = subprocess.run([sys.executable, "-m", "gausskey.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: --tau/--mu: mu must exceed 1.000000001 for stable conditioning "
+        f"and be finite, got {mu}\n"
+    )
+
+
 def test_rates_json_key_order():
     result = _run(["rates", "--tau", "0.9", "--nbar", "0.1", "--json"])
     assert list(json.loads(result.output)) == [

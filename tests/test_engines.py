@@ -12,6 +12,7 @@ from gausskey import (
     DomainError,
     NumericError,
     UnsupportedChannelError,
+    analytic_moments,
     ci_finite_mu,
     convergence_table,
     e_r_interior,
@@ -23,6 +24,7 @@ from gausskey import (
     r_rev,
     r_rev_interior,
     rci_finite_mu,
+    tmsv,
     von_neumann_entropy,
 )
 from gausskey.engines import _eve_modes, _protocol_state
@@ -238,3 +240,24 @@ def test_convergence_table_gaps_shrink():
     rows = convergence_table(ch, [5.0, 50.0, 500.0], engine="protocol")
     gaps = [abs(r.gap) for r in rows]
     assert gaps[2] < gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: convergence_table(make_canonical(0.5, nbar=0.1), [mu], engine="rci"),
+        lambda mu: convergence_table(make_canonical(0.5, nbar=0.1), [mu], engine="ci"),
+        lambda mu: convergence_table(make_canonical(0.5, nbar=0.1), [mu], engine="protocol"),
+        lambda mu: protocol_holevo_information(make_canonical(0.5, nbar=0.1), mu),
+        lambda mu: tmsv(mu),
+        lambda mu: analytic_moments(0.5, 0.1, mu),
+    ],
+    ids=["rci", "ci", "protocol", "holevo", "tmsv", "analytic_moments"],
+)
+def test_non_finite_source_variance_is_a_domain_error(call, mu):
+    # NaN passes a bare `mu < 1` test and inf overflows the cross block to
+    # inf * 0 = nan; both must be refused before any state is built.
+    with pytest.raises(DomainError, match="finite, got") as info:
+        call(mu)
+    assert info.value.field is None

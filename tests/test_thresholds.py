@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gausskey.thresholds
 from gausskey import (
     DomainError,
     ThresholdCurve,
@@ -81,13 +82,50 @@ def test_positive_thresholds_are_genuine_roots(rate_id, tau):
 @pytest.mark.parametrize("tau", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-15])
 @pytest.mark.parametrize("rate_id", ["e_r", "q1g", "r_rev"])
 def test_thresholds_converge_next_to_unit_transmission(rate_id, tau):
-    # Here nbar = eps / (2 |1 - tau|) is about 4e11 to 4e14, where a
-    # cancelling entropy_g loses most of its digits and bisection never meets
-    # its tolerance.
+    # Here nbar = eps / (2 |1 - tau|) is about 4e11 to 4e14: each interior is
+    # a difference of two terms near 40 to 50 bits, known to about 1e-14, and
+    # the false-position search must still meet its tolerance on it.
     tol = 1e-9
     eps_star = threshold_eps(rate_id, tau, tol=tol)
     assert eps_star > 0.0
     assert abs(_INTERIORS[rate_id](make_canonical(tau, eps=eps_star))) <= tol
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.6, 0.9, 1.5, 1.0 - 1e-12, 1.0 + 1e-12])
+@pytest.mark.parametrize("rate_id", ["e_r", "q1g", "r_rev"])
+def test_threshold_search_evaluation_budget(monkeypatch, rate_id, tau):
+    # Illinois false position needs 10 to 12 interior evaluations per positive
+    # threshold and 15 next to tau = 1, bracketing included, and reuses every
+    # value it has.
+    seen = []
+    interior = gausskey.thresholds._INTERIORS[rate_id]
+
+    def counted(ch):
+        seen.append(ch.eps)
+        return interior(ch)
+
+    monkeypatch.setitem(gausskey.thresholds._INTERIORS, rate_id, counted)
+    threshold_eps(rate_id, tau)
+    assert len(seen) <= 16
+    assert len(set(seen)) == len(seen), "an eps was evaluated twice"
+
+
+def test_thresholds_land_well_inside_the_tolerance():
+    # The search ends with a secant step across a bracket narrower than tol,
+    # so roots sit about 1e-15 from the exact ones, not merely within tol.
+    assert abs(threshold_eps("e_r", 0.5) - EPS_STAR_E_R_05) <= 1e-13
+    assert abs(threshold_eps("r_rev", 0.5) - EPS_STAR_REV_05) <= 1e-13
+    assert abs(threshold_eps("q1g", 0.8) - 0.4) <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12])
+@pytest.mark.parametrize("tau", [0.6, 1.5])
+@pytest.mark.parametrize("rate_id", ["e_r", "q1g", "r_rev"])
+def test_tolerance_contract_holds_at_every_scale(rate_id, tau, tol):
+    eps_star = threshold_eps(rate_id, tau, tol=tol)
+    interior = _INTERIORS[rate_id]
+    assert abs(interior(make_canonical(tau, eps=eps_star))) <= tol
+    assert interior(make_canonical(tau, eps=eps_star - tol)) > 0.0
 
 
 def test_r_rev_interior_non_increasing_in_eps():
