@@ -37,6 +37,8 @@ from .symplectic import (
     I2,
     Z2,
     CovMat,
+    _congruence,
+    _quadratures,
     apply_symplectic,
     beam_splitter,
     tensor,
@@ -134,16 +136,9 @@ def apply_channel(state: CovMat, ch: CanonicalChannel, mode: int = 0) -> CovMat:
     The targeted 2x2 diagonal block becomes X B X^T + Y and every cross block
     with the other modes is multiplied by X^T on the channel side.
     """
-    k = int(mode)
-    if not 0 <= k < state.n_modes:
-        raise DomainError(f"target mode {k} out of range for {state.n_modes} modes")
-    x = _channel_x(ch)
-    y = abs(1.0 - ch.tau) * ch.w * np.eye(2)
-    out = state.entries.copy()
-    sl = slice(2 * k, 2 * k + 2)
-    out[sl, :] = x @ out[sl, :]
-    out[:, sl] = out[:, sl] @ x.T
-    out[sl, sl] += y
+    idx = _quadratures([mode], state.n_modes)
+    out = _congruence(state.entries, _channel_x(ch), idx)
+    out[idx, idx] += abs(1.0 - ch.tau) * ch.w  # Y is a multiple of I2
     return CovMat(out)
 
 
@@ -189,5 +184,5 @@ def apply_dilation(
     """
     n = state.n_modes
     joint = tensor(state, dilation.environment)
-    out = apply_symplectic(joint, dilation.coupling, (int(mode), n))
+    out = apply_symplectic(joint, dilation.coupling, (mode, n))
     return out, (n, n + 1)

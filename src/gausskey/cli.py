@@ -20,13 +20,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import click
 
 from . import __version__
 from .channels import make_canonical
-from .engines import ENGINES, PORT_MODELS, convergence_table, protocol_rate_numeric
+from .engines import (
+    ENGINES,
+    PORT_MODELS,
+    ConvergenceRow,
+    convergence_table,
+    protocol_rate_numeric,
+)
 from .errors import GaussKeyError
 from .rates import r_rev, rate_report
 from .sim import SimConfig, rounds_to_csv, simulate
@@ -48,6 +54,13 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.{_digits()}g}"
     return str(x)
+
+
+def _echo_fields(pairs: dict) -> None:
+    """One ``name = value`` line per entry, names padded to the longest."""
+    width = max(map(len, pairs))
+    for name, value in pairs.items():
+        click.echo(f"{name:<{width}} = {_fmt(value)}")
 
 
 def _jsonable(value, digits: int):
@@ -115,11 +128,8 @@ def rates(tau, nbar, eps, as_json):
         f"channel: tau={_fmt(ch.tau)} nbar={_fmt(ch.nbar)} "
         f"eps={_fmt(ch.eps)} class={ch.class_label}"
     )
-    click.echo(f"e_r    = {_fmt(report.e_r)}")
-    click.echo(f"q1g    = {_fmt(report.q1g)}")
-    click.echo(f"r_rev  = {_fmt(report.r_rev)}")
-    click.echo(f"lambda = {_fmt(report.lam)}")
-    click.echo(f"w      = {_fmt(report.w)}")
+    values = report.as_dict()
+    _echo_fields({k: values[k] for k in ("e_r", "q1g", "r_rev", "lambda", "w")})
     if report.e_r > 0.0:
         click.echo(f"bound: K_rev >= E_R = {_fmt(report.e_r)} > 0")
 
@@ -175,19 +185,13 @@ def converge(tau, nbar, mu_list, engine, as_json):
     except GaussKeyError as exc:
         _fail_domain(exc, "--mu-list")
     if as_json:
-        _emit_json(
-            {
-                "tau": ch.tau,
-                "nbar": ch.nbar,
-                "engine": engine,
-                "rows": [asdict(r) for r in rows],
-            }
-        )
+        rows_json = [asdict(r) for r in rows]
+        _emit_json({"tau": ch.tau, "nbar": ch.nbar, "engine": engine, "rows": rows_json})
         return
     click.echo(f"engine={engine} tau={_fmt(ch.tau)} nbar={_fmt(ch.nbar)}")
-    click.echo("mu value target gap")
+    click.echo(" ".join(f.name for f in fields(ConvergenceRow)))
     for r in rows:
-        click.echo(f"{_fmt(r.mu)} {_fmt(r.value)} {_fmt(r.target)} {_fmt(r.gap)}")
+        click.echo(" ".join(map(_fmt, astuple(r))))
 
 
 @cli.command()
@@ -205,24 +209,12 @@ def verify(tau, nbar, mu, ports, as_json):
     except GaussKeyError as exc:
         _fail_domain(exc, "--tau/--mu")
     closed = r_rev(ch)
-    diff = abs(numeric - closed)
+    result = {"numeric_rate": numeric, "closed_form": closed, "abs_diff": abs(numeric - closed)}
     if as_json:
-        _emit_json(
-            {
-                "tau": ch.tau,
-                "nbar": ch.nbar,
-                "mu": mu,
-                "ports": ports,
-                "numeric_rate": numeric,
-                "closed_form": closed,
-                "abs_diff": diff,
-            }
-        )
+        _emit_json({"tau": ch.tau, "nbar": ch.nbar, "mu": mu, "ports": ports, **result})
         return
     click.echo(f"tau={_fmt(ch.tau)} nbar={_fmt(ch.nbar)} mu={_fmt(mu)} ports={ports}")
-    click.echo(f"numeric_rate = {_fmt(numeric)}")
-    click.echo(f"closed_form  = {_fmt(closed)}")
-    click.echo(f"abs_diff     = {_fmt(diff)}")
+    _echo_fields(result)
 
 
 @cli.command("simulate")
@@ -267,9 +259,7 @@ def classify_cmd(tau, eps, as_json):
         _emit_json({"tau": tau, "eps": eps, **flags, "region": region})
         return
     click.echo(f"tau={_fmt(tau)} eps={_fmt(eps)}")
-    width = max(map(len, flags))
-    for name, value in flags.items():
-        click.echo(f"{name:<{width}} = {value}")
+    _echo_fields(flags)
     click.echo(f"region: {region}")
 
 

@@ -76,21 +76,14 @@ def rci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     May be negative at small mu; non-decreasing in mu and never above the
     closed-form interior it converges to.
     """
-    joint = _source_through_channel(ch, mu)
+    joint = apply_channel(tmsv(mu), ch, mode=1)
     return von_neumann_entropy(partial_trace(joint, (0,))) - von_neumann_entropy(joint)
 
 
 def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     """Forward coherent information S(B) - S(AB) at source variance ``mu``."""
-    joint = _source_through_channel(ch, mu)
+    joint = apply_channel(tmsv(mu), ch, mode=1)
     return von_neumann_entropy(partial_trace(joint, (1,))) - von_neumann_entropy(joint)
-
-
-def _source_through_channel(ch: CanonicalChannel, mu: float) -> CovMat:
-    mu = float(mu)
-    if not 1.0 <= mu < math.inf:
-        raise DomainError(f"source variance mu must be >= 1 and finite, got {mu}")
-    return apply_channel(tmsv(mu), ch, mode=1)
 
 
 def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis: str):

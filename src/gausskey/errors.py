@@ -47,3 +47,11 @@ class DegenerateMeasurementError(GaussKeyError, ValueError):
 
 class EmptyStatisticsError(GaussKeyError, RuntimeError):
     """A simulation kept too few rounds to form moment estimates."""
+
+
+def _whole(x) -> bool:
+    """True if ``x`` is a finite whole number, such as 3 or 1e5."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        return False

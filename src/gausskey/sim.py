@@ -40,7 +40,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import make_canonical
-from .errors import DomainError, EmptyStatisticsError, NumericError
+from .errors import DomainError, EmptyStatisticsError, NumericError, _whole
+from .symplectic import _variance
 
 __all__ = [
     "RNG_DESCRIPTION",
@@ -88,11 +89,10 @@ class SimConfig:
 
     def __post_init__(self):
         make_canonical(self.tau, nbar=self.nbar)
-        if not 1.0 <= self.mu < math.inf:
-            raise DomainError(f"source variance mu must be >= 1 and finite, got {self.mu}", field="mu")
-        if int(self.rounds) < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}", field="rounds")
-        if not 0 <= int(self.seed) < 2**64:
+        _variance(self.mu, "source variance mu", field="mu")
+        if not _whole(self.rounds) or self.rounds < 1:
+            raise DomainError(f"rounds must be an integer >= 1, got {self.rounds}", field="rounds")
+        if not (_whole(self.seed) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}", field="seed")
         if self.mode not in ("memory", "sifted"):
             raise DomainError(f"mode must be 'memory' or 'sifted', got {self.mode!r}", field="mode")
@@ -134,9 +134,7 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     flips the sign of the p correlation.
     """
     ch = make_canonical(float(tau), nbar=float(nbar))
-    mu = float(mu)
-    if not 1.0 <= mu < math.inf:
-        raise DomainError(f"source variance mu must be >= 1 and finite, got {mu}")
+    mu = _variance(mu, "source variance mu")
     if basis not in ("q", "p"):
         raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasurementError, DomainError, InvalidStateError
+from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, _whole
 
 __all__ = [
     "CovMat",
@@ -126,6 +126,35 @@ def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.maximum(nu, 1.0)
 
 
+def _variance(v: float, what: str, field: str | None = None) -> float:
+    """``float(v)`` if it is a quadrature variance, finite and >= 1, else raise."""
+    v = float(v)
+    if not 1.0 <= v < math.inf:
+        raise DomainError(f"{what} must be >= 1 and finite, got {v}", field=field)
+    return v
+
+
+def _quadratures(modes, n_modes: int) -> np.ndarray:
+    """Quadrature indices (2k, 2k + 1) of ``modes``: distinct whole numbers in range(n_modes)."""
+    modes = list(modes)
+    ks = [int(k) for k in modes if _whole(k)]
+    if not ks or len(set(ks)) != len(modes) or min(ks) < 0 or max(ks) >= n_modes:
+        raise DomainError(f"invalid mode list {modes} for {n_modes} modes")
+    return np.array([j for k in ks for j in (2 * k, 2 * k + 1)])
+
+
+def _congruence(v: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """New array S V S^T for S acting on quadratures ``idx``; only their rows and columns change.
+
+    The result is symmetrised: rounding in a strongly squeezing S can leave
+    more asymmetry than :class:`CovMat` accepts in its input.
+    """
+    out = v.copy()
+    out[idx] = s @ v[idx]
+    out[:, idx] = out[:, idx] @ s.T
+    return 0.5 * (out + out.T)
+
+
 @dataclass(frozen=True)
 class CovMat:
     """Covariance matrix of an n-mode Gaussian state.
@@ -162,7 +191,8 @@ class CovMat:
 
     def mode_block(self, i: int, j: int) -> np.ndarray:
         """2x2 block coupling modes i and j (i == j gives a mode's variance)."""
-        return self.entries[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].copy()
+        rows, cols = (_quadratures([k], self.n_modes) for k in (i, j))
+        return self.entries[np.ix_(rows, cols)]
 
 
 @dataclass(frozen=True)
@@ -191,10 +221,7 @@ def vacuum(n_modes: int = 1) -> CovMat:
 
 def thermal(w: float) -> CovMat:
     """Single-mode thermal state with quadrature variance w = 2 nbar + 1."""
-    w = float(w)
-    if w < 1.0:
-        raise DomainError(f"thermal quadrature variance must be >= 1, got {w}")
-    return CovMat(w * np.eye(2))
+    return CovMat(_variance(w, "thermal quadrature variance w") * np.eye(2))
 
 
 def tmsv(mu: float) -> CovMat:
@@ -204,9 +231,7 @@ def tmsv(mu: float) -> CovMat:
     sqrt(mu^2 - 1) * diag(1, -1): q quadratures correlated, p quadratures
     anticorrelated.  Pure for every mu >= 1 (mu = 1 is the two-mode vacuum).
     """
-    mu = float(mu)
-    if not 1.0 <= mu < math.inf:
-        raise DomainError(f"tmsv quadrature variance must be >= 1 and finite, got {mu}")
+    mu = _variance(mu, "source variance mu")
     c = math.sqrt(mu * mu - 1.0)
     return CovMat(np.block([[mu * I2, c * Z2], [c * Z2, mu * I2]]))
 
@@ -227,12 +252,7 @@ def tensor(*states: CovMat) -> CovMat:
 
 def partial_trace(state: CovMat, keep) -> CovMat:
     """Reduced state on the modes in ``keep`` (returned in ascending order)."""
-    modes = sorted({int(k) for k in keep})
-    if not modes:
-        raise DomainError("keep set must not be empty")
-    if modes[0] < 0 or modes[-1] >= state.n_modes:
-        raise DomainError(f"keep set {modes} out of range for {state.n_modes} modes")
-    idx = [j for m in modes for j in (2 * m, 2 * m + 1)]
+    idx = _quadratures(sorted(set(keep)), state.n_modes)
     return CovMat(state.entries[np.ix_(idx, idx)])
 
 
@@ -248,9 +268,7 @@ def beam_splitter(eta: float) -> np.ndarray:
 
 def two_mode_squeezer(gain: float) -> np.ndarray:
     """Two-mode squeezer symplectic with ``gain`` >= 1 (gain 1 is the identity)."""
-    gain = float(gain)
-    if gain < 1.0:
-        raise DomainError(f"two-mode squeezer gain must be >= 1, got {gain}")
+    gain = _variance(gain, "two-mode squeezer gain")
     ch = math.sqrt(gain)
     sh = math.sqrt(gain - 1.0)
     return np.block([[ch * I2, sh * Z2], [sh * Z2, ch * I2]])
@@ -262,11 +280,9 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     ``s`` must be 2m x 2m for the m distinct modes given and must preserve
     the symplectic form to 1e-10 times max(1, max|S|^2).
     """
-    modes = [int(k) for k in modes]
+    idx = _quadratures(modes, state.n_modes)
     s = np.asarray(s, dtype=float)
-    m = len(modes)
-    if m == 0 or len(set(modes)) != m or any(k < 0 or k >= state.n_modes for k in modes):
-        raise DomainError(f"invalid mode list {modes} for {state.n_modes} modes")
+    m = len(idx) // 2
     if s.shape != (2 * m, 2 * m):
         raise DomainError(
             f"symplectic matrix must be {2 * m} x {2 * m} for {m} modes, got {s.shape}"
@@ -275,11 +291,7 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
     if float(np.abs(s @ omega @ s.T - omega).max()) > bound:
         raise DomainError("matrix is not symplectic")
-    embed = np.eye(2 * state.n_modes)
-    idx = [j for k in modes for j in (2 * k, 2 * k + 1)]
-    embed[np.ix_(idx, idx)] = s
-    out = embed @ state.entries @ embed.T
-    return CovMat(0.5 * (out + out.T))
+    return CovMat(_congruence(state.entries, s, idx))
 
 
 def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> CovMat:
@@ -295,16 +307,13 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
         raise DomainError("homodyne conditioning needs at least two modes")
     if quadrature not in ("q", "p"):
         raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    k = int(measured_mode)
-    if not 0 <= k < state.n_modes:
-        raise DomainError(f"measured mode {k} out of range for {state.n_modes} modes")
-    col = 2 * k + (0 if quadrature == "q" else 1)
+    col = _quadratures([measured_mode], state.n_modes)[0 if quadrature == "q" else 1]
     v = float(state.entries[col, col])
     if v <= 1e-12:
         raise DegenerateMeasurementError(
             f"measured quadrature variance {v} is numerically singular"
         )
-    idx = [j for mm in range(state.n_modes) if mm != k for j in (2 * mm, 2 * mm + 1)]
+    idx = _quadratures([k for k in range(state.n_modes) if k != measured_mode], state.n_modes)
     a = state.entries[np.ix_(idx, idx)]
     c = state.entries[idx, col]
     return CovMat(a - np.outer(c, c) / v)

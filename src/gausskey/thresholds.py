@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import make_canonical
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _whole
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 
 __all__ = [
@@ -165,8 +165,8 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     Grid points within 1e-6 of tau = 1 are dropped (no row is emitted for
     them); an entirely skipped grid raises.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}", field="steps")
+    if not _whole(steps) or steps < 1:
+        raise DomainError(f"steps must be an integer >= 1, got {steps}", field="steps")
     if not -math.inf < tau_min <= tau_max < math.inf:
         raise DomainError(
             f"need finite tau_max >= tau_min, got [{tau_min}, {tau_max}]",

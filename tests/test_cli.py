@@ -434,3 +434,33 @@ def test_simulate_json_key_order():
         "sift_ratio",
         "rng",
     ]
+
+
+def test_name_value_text_layout():
+    env = {"GAUSSKEY_PRECISION": "6"}
+    rates = _run(["rates", "--tau", "0.5", "--nbar", "0"], env=env)
+    assert rates.output.splitlines() == [
+        "channel: tau=0.5 nbar=0 eps=0 class=C_att",
+        "e_r    = 1",
+        "q1g    = 0",
+        "r_rev  = 0.5",
+        "lambda = 1",
+        "w      = 1",
+        "bound: K_rev >= E_R = 1 > 0",
+    ]
+    verify = _run(
+        ["verify", "--tau", "0.5", "--nbar", "0", "--mu", "1000", "--ports", "trusted"], env=env
+    )
+    assert verify.output.splitlines() == [
+        "tau=0.5 nbar=0 mu=1000 ports=trusted",
+        "numeric_rate = 0.499119",
+        "closed_form  = 0.5",
+        "abs_diff     = 0.000880626",
+    ]
+    converge = _run(["converge", "--tau", "0.5", "--nbar", "0", "--mu-list", "10,100"], env=env)
+    assert converge.output.splitlines() == [
+        "engine=rci tau=0.5 nbar=0",
+        "mu value target gap",
+        "10 0.868114 1 0.131886",
+        "100 0.985715 1 0.014285",
+    ]

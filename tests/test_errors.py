@@ -76,6 +76,39 @@ def test_argument_checks_name_their_field(call, error, field):
 
 
 @pytest.mark.parametrize(
+    "call, field",
+    [
+        # memory mode once reported sift_ratio 0.995 for rounds=100.5
+        (lambda: _sim(rounds=100.5), "rounds"),
+        (lambda: _sim(rounds=math.nan), "rounds"),
+        (lambda: _sim(rounds=math.inf), "rounds"),
+        # a fractional seed was keyed as its integer part
+        (lambda: _sim(seed=1.7), "seed"),
+        (lambda: _sim(seed=math.nan), "seed"),
+        (lambda: _sim(seed=math.inf), "seed"),
+        # steps=2.5 gave 2 rows
+        (lambda: gk.sweep(0.2, 0.8, 2.5), "steps"),
+        (lambda: gk.sweep(0.2, 0.8, math.nan), "steps"),
+        (lambda: gk.sweep(0.2, 0.8, math.inf), "steps"),
+    ],
+    ids=[
+        "rounds_fraction", "rounds_nan", "rounds_inf", "seed_fraction", "seed_nan", "seed_inf",
+        "steps_fraction", "steps_nan", "steps_inf",
+    ],
+)
+def test_counts_must_be_finite_whole_numbers(call, field):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.field == field
+
+
+def test_whole_float_counts_stay_accepted():
+    assert gk.simulate(_sim(rounds=1e3, seed=7.0)).sift_ratio == 1.0
+    assert _sim(seed=2**64 - 1).seed == 2**64 - 1
+    assert len(gk.sweep(0.2, 0.8, 3.0).rows) == 3
+
+
+@pytest.mark.parametrize(
     "call, error",
     [
         (lambda: gk.CovMat(np.diag([0.5, 0.5])), InvalidStateError),

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,86 @@ def test_tensor_entropy_additive():
     assert gk.von_neumann_entropy(joint) == pytest.approx(
         gk.von_neumann_entropy(a) + gk.von_neumann_entropy(b), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.5])
+@pytest.mark.parametrize(
+    "build", [gk.thermal, gk.tmsv, gk.two_mode_squeezer], ids=["thermal", "tmsv", "squeezer"]
+)
+def test_variance_arguments_must_be_finite_and_at_least_one(build, value):
+    # NaN passes a bare `< 1` test and inf turns inf * 0 into NaN with a
+    # RuntimeWarning; both must be refused before any matrix is built.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be >= 1 and finite"):
+            build(value)
+
+
+_BS = gk.beam_splitter(0.5)
+_CH = gk.make_canonical(0.5, nbar=0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.mode_block(-1, -1),
+        lambda s: s.mode_block(5, 0),
+        lambda s: s.mode_block(0, 3),
+        lambda s: s.mode_block(0.5, 0),
+        lambda s: gk.partial_trace(s, (0.5,)),
+        lambda s: gk.partial_trace(s, (-1, 0)),
+        lambda s: gk.apply_symplectic(s, _BS, (0, 3)),
+        lambda s: gk.apply_symplectic(s, _BS, (1.5, 0)),
+        lambda s: gk.apply_symplectic(s, _BS, (2, 2)),
+        lambda s: gk.homodyne_condition(s, measured_mode=-1, quadrature="q"),
+        lambda s: gk.homodyne_condition(s, measured_mode=0.5, quadrature="p"),
+        lambda s: gk.apply_channel(s, _CH, mode=3),
+        lambda s: gk.apply_channel(s, _CH, mode=-1),
+        lambda s: gk.apply_channel(s, _CH, mode=math.nan),
+    ],
+    ids=[
+        "block_negative", "block_past_end", "block_column_past_end", "block_fraction",
+        "trace_fraction", "trace_negative", "symplectic_past_end", "symplectic_fraction",
+        "symplectic_repeated", "homodyne_negative", "homodyne_fraction",
+        "channel_past_end", "channel_negative", "channel_nan",
+    ],
+)
+def test_every_mode_argument_is_checked(call):
+    with pytest.raises(DomainError, match="invalid mode list"):
+        call(gk.tensor(gk.tmsv(3.0), gk.vacuum(1)))
+
+
+def _embedding_oracle(state, s, modes):
+    """S V S^T the direct way: S embedded in the identity on the listed modes."""
+    embed = np.eye(2 * state.n_modes)
+    idx = [j for k in modes for j in (2 * k, 2 * k + 1)]
+    embed[np.ix_(idx, idx)] = s
+    return embed @ state.entries @ embed.T
+
+
+def test_apply_symplectic_matches_embedding_oracle():
+    rng = np.random.default_rng(59)
+    scattered = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 6))
+        modes = [int(k) for k in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        scattered += modes != list(range(modes[0], modes[0] + len(modes)))
+        state, _ = random_state(rng, n)
+        s = random_symplectic(rng, len(modes), strength=0.6)
+        got = gk.apply_symplectic(state, s, modes).entries
+        want = _embedding_oracle(state, s, modes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert scattered >= 40  # most lists are out of order or have gaps
+
+
+def test_squeezer_round_trip_returns_the_input():
+    # Entries near 2e3 leave rounding asymmetry above the CovMat input
+    # tolerance; the update must still hand back a valid state.
+    squeeze = gk.two_mode_squeezer(1e3)
+    undo = squeeze.copy()
+    undo[:2, 2:] *= -1.0
+    undo[2:, :2] *= -1.0
+    state = gk.tensor(gk.thermal(1.5), gk.vacuum(2))
+    there = gk.apply_symplectic(state, squeeze, (2, 1))
+    back = gk.apply_symplectic(there, undo, (2, 1))
+    np.testing.assert_allclose(back.entries, state.entries, rtol=0.0, atol=1e-9)
