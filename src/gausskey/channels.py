@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedChannelError
 from .symplectic import (
-    I2,
-    Z2,
     CovMat,
     _congruence,
     _quadratures,
@@ -54,6 +52,9 @@ __all__ = [
     "dilate",
     "apply_dilation",
 ]
+
+I2 = np.eye(2)
+Z2 = np.diag([1.0, -1.0])
 
 _MAX = sys.float_info.max
 _HALF_MAX = _MAX / 2.0  # largest nbar with a finite w = 2 nbar + 1

@@ -40,9 +40,6 @@ __all__ = [
     "homodyne_condition",
 ]
 
-I2 = np.eye(2)
-Z2 = np.diag([1.0, -1.0])
-
 # Numerical guards.  Symmetry is checked relative to the matrix scale so that
 # states with large squeezing variances are not rejected for roundoff in the
 # last few bits; physicality allows symplectic eigenvalues to undershoot 1 by
@@ -57,11 +54,29 @@ SYMPLECTIC_ATOL = 1e-10
 _LN2 = math.log(2.0)
 
 
+def _mode_count(n_modes) -> int:
+    """``int(n_modes)`` if it is a whole number >= 1, else raise."""
+    if not (_whole(n_modes) and n_modes >= 1):
+        raise DomainError(
+            f"n_modes must be a whole number >= 1, got {n_modes!r}", field="n_modes"
+        )
+    return int(n_modes)
+
+
+def _times_omega(x: np.ndarray) -> np.ndarray:
+    """``x @ Omega`` as a signed swap of each column pair (exact: entries only move and flip sign).
+
+    Column 2k becomes -x[:, 2k + 1] and column 2k + 1 becomes x[:, 2k].
+    """
+    out = np.empty_like(x)
+    out[:, 0::2] = -x[:, 1::2]
+    out[:, 1::2] = x[:, 0::2]
+    return out
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form for the (q1, p1, ..., qn, pn) ordering."""
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Standard symplectic form for the (q1, p1, ..., qn, pn) ordering (a new array)."""
+    return _times_omega(np.eye(2 * _mode_count(n_modes)))
 
 
 def entropy_g(x: float) -> float:
@@ -93,11 +108,12 @@ def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
     Raises if the array fails positive definiteness or the uncertainty bound.
     n = 1 uses the exact closed form sqrt(det V).  For n >= 2 the spectrum
     comes from the Hermitian matrix i sqrt(V) Omega sqrt(V), whose
-    eigenvalues are +-nu_k: this is algebraically identical to the two-mode
-    quadratic in Delta and det V but stays accurate near degenerate spectra,
-    where the quadratic's clamped square root turns O(eps * scale^2) rounding
-    in the discriminant into O(sqrt(eps) * scale) error in nu (a tmsv state
-    already trips the uncertainty check at mu ~ 100 that way).
+    eigenvalues are +-nu_k (Omega is applied as an exact signed column swap):
+    this is algebraically identical to the two-mode quadratic in Delta and
+    det V but stays accurate near degenerate spectra, where the quadratic's
+    clamped square root turns O(eps * scale^2) rounding in the discriminant
+    into O(sqrt(eps) * scale) error in nu (a tmsv state already trips the
+    uncertainty check at mu ~ 100 that way).
 
     Validation tolerances scale with the largest entry: float error in the
     eigenvalues grows with the matrix norm, and an absolute 1e-9 band would
@@ -115,8 +131,7 @@ def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
         if evals[0] <= -SYMMETRY_ATOL * scale:
             raise InvalidStateError("covariance matrix is not positive definite")
         root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
-        herm = 1j * root @ symplectic_form(n) @ root
-        spec = np.linalg.eigvalsh(herm)
+        spec = np.linalg.eigvalsh(1j * (_times_omega(root) @ root))
         nu = spec[n:][::-1].copy()
     low = float(nu.min())
     if low < 1.0 - PHYSICALITY_ATOL * scale:
@@ -175,7 +190,7 @@ class CovMat:
             raise InvalidStateError(
                 f"covariance matrix must be square 2n x 2n, got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise InvalidStateError("covariance matrix has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > SYMMETRY_ATOL * scale:
@@ -192,7 +207,7 @@ class CovMat:
     def mode_block(self, i: int, j: int) -> np.ndarray:
         """2x2 block coupling modes i and j (i == j gives a mode's variance)."""
         rows, cols = (_quadratures([k], self.n_modes) for k in (i, j))
-        return self.entries[np.ix_(rows, cols)]
+        return self.entries[rows][:, cols]
 
 
 @dataclass(frozen=True)
@@ -214,9 +229,7 @@ def von_neumann_entropy(state: CovMat) -> float:
 
 def vacuum(n_modes: int = 1) -> CovMat:
     """n-mode vacuum state (identity covariance)."""
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    return CovMat(np.eye(2 * n_modes))
+    return CovMat(np.eye(2 * _mode_count(n_modes)))
 
 
 def thermal(w: float) -> CovMat:
@@ -233,7 +246,9 @@ def tmsv(mu: float) -> CovMat:
     """
     mu = _variance(mu, "source variance mu")
     c = math.sqrt(mu * mu - 1.0)
-    return CovMat(np.block([[mu * I2, c * Z2], [c * Z2, mu * I2]]))
+    return CovMat(
+        np.array([[mu, 0.0, c, 0.0], [0.0, mu, 0.0, -c], [c, 0.0, mu, 0.0], [0.0, -c, 0.0, mu]])
+    )
 
 
 def tensor(*states: CovMat) -> CovMat:
@@ -253,7 +268,7 @@ def tensor(*states: CovMat) -> CovMat:
 def partial_trace(state: CovMat, keep) -> CovMat:
     """Reduced state on the modes in ``keep`` (returned in ascending order)."""
     idx = _quadratures(sorted(set(keep)), state.n_modes)
-    return CovMat(state.entries[np.ix_(idx, idx)])
+    return CovMat(state.entries[idx][:, idx])
 
 
 def beam_splitter(eta: float) -> np.ndarray:
@@ -263,7 +278,7 @@ def beam_splitter(eta: float) -> np.ndarray:
         raise DomainError(f"beam-splitter transmissivity must be in [0, 1], got {eta}")
     t = math.sqrt(eta)
     r = math.sqrt(1.0 - eta)
-    return np.block([[t * I2, r * I2], [-r * I2, t * I2]])
+    return np.array([[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, 0.0, t, 0.0], [0.0, -r, 0.0, t]])
 
 
 def two_mode_squeezer(gain: float) -> np.ndarray:
@@ -271,7 +286,9 @@ def two_mode_squeezer(gain: float) -> np.ndarray:
     gain = _variance(gain, "two-mode squeezer gain")
     ch = math.sqrt(gain)
     sh = math.sqrt(gain - 1.0)
-    return np.block([[ch * I2, sh * Z2], [sh * Z2, ch * I2]])
+    return np.array(
+        [[ch, 0.0, sh, 0.0], [0.0, ch, 0.0, -sh], [sh, 0.0, ch, 0.0], [0.0, -sh, 0.0, ch]]
+    )
 
 
 def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
@@ -289,7 +306,7 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
         )
     omega = symplectic_form(m)
     bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
-    if float(np.abs(s @ omega @ s.T - omega).max()) > bound:
+    if float(np.abs(_times_omega(s) @ s.T - omega).max()) > bound:
         raise DomainError("matrix is not symplectic")
     return CovMat(_congruence(state.entries, s, idx))
 
@@ -314,6 +331,6 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
             f"measured quadrature variance {v} is numerically singular"
         )
     idx = _quadratures([k for k in range(state.n_modes) if k != measured_mode], state.n_modes)
-    a = state.entries[np.ix_(idx, idx)]
+    a = state.entries[idx][:, idx]
     c = state.entries[idx, col]
     return CovMat(a - np.outer(c, c) / v)

@@ -261,3 +261,18 @@ def test_non_finite_source_variance_is_a_domain_error(call, mu):
     with pytest.raises(DomainError, match="finite, got") as info:
         call(mu)
     assert info.value.field is None
+
+
+def test_engines_avoid_the_slow_array_constructors(monkeypatch):
+    # np.kron, np.block and np.ix_ cost several times the 4x4 eigensolve each
+    # state's validation needs; the engine path builds its arrays directly.
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow array constructor called")
+
+    for name in ("kron", "block", "ix_"):
+        monkeypatch.setattr(np, name, refuse)
+    for ch in (make_canonical(0.5, nbar=0.1), make_canonical(2.0, nbar=0.1)):
+        assert math.isfinite(rci_finite_mu(ch, 100.0))
+        assert math.isfinite(ci_finite_mu(ch, 100.0))
+        assert math.isfinite(protocol_rate_numeric(ch, 100.0))
+        assert _protocol_state(ch, 100.0).n_modes == 5

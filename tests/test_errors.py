@@ -102,6 +102,23 @@ def test_counts_must_be_finite_whole_numbers(call, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("build", [gk.symplectic_form, gk.vacuum], ids=["form", "vacuum"])
+@pytest.mark.parametrize(
+    "n_modes",
+    [1.5, math.nan, math.inf, "2", 0, -1, None],
+    ids=["fraction", "nan", "inf", "string", "zero", "negative", "none"],
+)
+def test_mode_counts_must_be_whole_numbers(build, n_modes):
+    with pytest.raises(DomainError) as info:
+        build(n_modes)
+    assert info.value.field == "n_modes"
+
+
+def test_whole_float_mode_counts_stay_accepted():
+    assert np.array_equal(gk.symplectic_form(2.0), gk.symplectic_form(2))
+    assert gk.vacuum(2.0).n_modes == 2
+
+
 def test_whole_float_counts_stay_accepted():
     assert gk.simulate(_sim(rounds=1e3, seed=7.0)).sift_ratio == 1.0
     assert _sim(seed=2**64 - 1).seed == 2**64 - 1

@@ -392,3 +392,37 @@ def test_squeezer_round_trip_returns_the_input():
     there = gk.apply_symplectic(state, squeeze, (2, 1))
     back = gk.apply_symplectic(there, undo, (2, 1))
     np.testing.assert_allclose(back.entries, state.entries, rtol=0.0, atol=1e-9)
+
+
+def test_builders_match_their_block_forms():
+    i2, z2 = np.eye(2), np.diag([1.0, -1.0])
+    rng = np.random.default_rng(10)
+    for mu in [1.0, 2.0, 1e4, *(1.0 + rng.exponential(50.0, 5))]:
+        c = math.sqrt(mu * mu - 1.0)
+        old = np.block([[mu * i2, c * z2], [c * z2, mu * i2]])
+        assert np.array_equal(gk.tmsv(mu).entries, old)
+    for eta in [0.0, 0.5, 1.0, *rng.uniform(0.0, 1.0, 5)]:
+        t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+        old = np.block([[t * i2, r * i2], [-r * i2, t * i2]])
+        assert np.array_equal(gk.beam_splitter(eta), old)
+    for gain in [1.0, 2.0, 1e6, *(1.0 + rng.exponential(50.0, 5))]:
+        ch, sh = math.sqrt(gain), math.sqrt(gain - 1.0)
+        old = np.block([[ch * i2, sh * z2], [sh * z2, ch * i2]])
+        assert np.array_equal(gk.two_mode_squeezer(gain), old)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symplectic_form_matches_kron_and_is_fresh(n):
+    omega = gk.symplectic_form(n)
+    assert np.array_equal(omega, np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+    assert omega.flags.writeable
+    omega[0, 1] = 7.0
+    assert gk.symplectic_form(n)[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_times_omega_is_right_multiplication_by_omega(n):
+    rng = np.random.default_rng(100 + n)
+    for rows in (2 * n, 3):
+        x = rng.normal(size=(rows, 2 * n)) * 10.0 ** rng.integers(-8, 9, size=(rows, 2 * n))
+        assert np.array_equal(gk.symplectic._times_omega(x), x @ gk.symplectic_form(n))
