@@ -23,18 +23,25 @@ Randomness contract (reproducible across platforms and schedules):
 * normal deviates come from the inverse CDF (one uniform per deviate), never
   from rejection sampling.
 
-``simulate`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS`` rounds and
-keeps only running moment sums, so its memory is bounded by the chunk size
-unless ``keep_rounds`` asks for the per-round record; the test suite checks
-that every chunk size gives identical statistics and rounds.  The moment
-sums are accumulated exactly, as integers in units of 2**-1127, so each one
-equals ``math.fsum`` over all kept rounds and the reported statistics are
+``simulate`` splits the rounds into chunks of ``_CHUNK_ROUNDS // workers``
+rounds and runs them on one thread per available CPU (inline when there is
+one CPU or one chunk): thread k takes chunks k, k + workers, ... and keeps
+its own running moment sums.  Each chunk keys its own generator with the
+seed and advances it to the chunk's first round, so the split changes no
+round.  The rounds in flight across all threads are therefore bounded by
+``_CHUNK_ROUNDS`` whatever the CPU count, and so is memory unless
+``keep_rounds`` asks for the per-round record, of which each chunk writes
+only its own slice.  The test suite checks that every chunk size and CPU
+count gives identical statistics and rounds.  The moment sums are
+accumulated exactly, as integers in units of 2**-1127, so each one equals
+``math.fsum`` over all kept rounds and the reported statistics are
 independent of summation order and chunking as well.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,11 +67,15 @@ RNG_DESCRIPTION = (
 )
 
 _MIN_UNIFORM = 2.0**-53  # floor keeps ndtri away from its pole at 0
-_CHUNK_ROUNDS = 1 << 16  # rounds drawn per step; bounds memory without keep_rounds
+# Rounds in flight across all worker threads; bounds memory without
+# keep_rounds.  _scaled_sum is exact only while it stays below 2**26.
+_CHUNK_ROUNDS = 1 << 15
 
 # frexp writes every finite double as x = m * 2**(e - 53) with |m| < 2**53
 # an integer and e >= -1073, so x * 2**1127 = m * 2**(e + 1074) is an integer.
 _SCALE_BITS = 1127
+
+_CSV_BLOCK = 4096  # rows per %-format in rounds_to_csv
 
 _ROUND_DTYPE = np.dtype(
     [("basis_b", "U1"), ("basis_a", "U1"), ("kept", np.int8), ("x_a", float), ("x_b", float)]
@@ -190,6 +201,13 @@ def _scaled_sum(x: np.ndarray) -> int:
     return total
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate(cfg: SimConfig, keep_rounds: bool = False):
     """Run the protocol; fully deterministic in ``cfg``.
 
@@ -215,40 +233,60 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
     c_p = c_q * _p_alignment_sign(cfg.tau)
 
     rounds = int(cfg.rounds)
-    gen = np.random.Generator(np.random.Philox(key=int(cfg.seed)))
+    workers = _cpu_count()
+    step = max(1, _CHUNK_ROUNDS // workers)
+    lanes = min(workers, -(-rounds // step))  # one per worker, at most one per chunk
     rec = np.empty(rounds, dtype=_ROUND_DTYPE) if keep_rounds else None
     labels = np.array(["q", "p"])
-    n_kept = 0
-    sums = [0] * 5  # a, b, a*a, b*b, a*b over kept rounds, times 2**1127
-    # Products of huge outcomes may overflow; _scaled_sum reports them.
-    with np.errstate(over="ignore"):
-        for start in range(0, rounds, _CHUNK_ROUNDS):
-            u = gen.random((min(_CHUNK_ROUNDS, rounds - start), 4))
-            basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
-            if cfg.mode == "memory":
-                basis_a = basis_b
-            else:
-                basis_a = (u[:, 1] >= 0.5).astype(np.int8)
-            kept = basis_a == basis_b
-            z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
-            z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
-            c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
-            x_b = math.sqrt(vb) * z_b
-            x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
 
-            align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
-            a = (x_a * align)[kept]
-            b = x_b[kept]
-            n_kept += len(a)
-            for i, x in enumerate((a, b, a * a, b * b, a * b)):
-                sums[i] += _scaled_sum(x)
-            if rec is not None:
-                part = rec[start : start + len(u)]
-                part["basis_b"] = labels[basis_b]
-                part["basis_a"] = labels[basis_a]
-                part["kept"] = kept
-                part["x_a"] = x_a
-                part["x_b"] = x_b
+    def lane(first):
+        # Runs on a worker thread, so it calls no public gausskey function and
+        # enters errstate itself: numpy's error state is per thread.
+        n_kept = 0
+        sums = [0] * 5  # a, b, a*a, b*b, a*b over kept rounds, times 2**1127
+        # Products of huge outcomes may overflow; _scaled_sum reports them.
+        with np.errstate(over="ignore"):
+            for start in range(first * step, rounds, lanes * step):
+                stop = min(start + step, rounds)
+                gen = np.random.Generator(np.random.Philox(key=int(cfg.seed)).advance(start))
+                u = gen.random((stop - start, 4))
+                basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
+                if cfg.mode == "memory":
+                    basis_a = basis_b
+                else:
+                    basis_a = (u[:, 1] >= 0.5).astype(np.int8)
+                kept = basis_a == basis_b
+                z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
+                z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
+                c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
+                x_b = math.sqrt(vb) * z_b
+                x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
+
+                align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
+                a = (x_a * align)[kept]
+                b = x_b[kept]
+                n_kept += len(a)
+                for i, x in enumerate((a, b, a * a, b * b, a * b)):
+                    sums[i] += _scaled_sum(x)
+                if rec is not None:
+                    part = rec[start:stop]
+                    part["basis_b"] = labels[basis_b]
+                    part["basis_a"] = labels[basis_a]
+                    part["kept"] = kept
+                    part["x_a"] = x_a
+                    part["x_b"] = x_b
+        return n_kept, sums
+
+    if lanes == 1:
+        results = [lane(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: it imports logging
+
+        # A pool per call: threads that outlived it would deadlock a forked child.
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            results = list(pool.map(lane, range(lanes)))
+    n_kept = sum(k for k, _ in results)
+    sums = [sum(column) for column in zip(*(s for _, s in results))]
 
     # Two kept rounds still determine a rank-1 sample covariance (sample
     # correlation exactly +-1), so the empirical mutual information needs
@@ -312,7 +350,18 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
 
 
 def rounds_to_csv(rounds: np.ndarray) -> str:
-    """Per-round CSV with header ``basis_b,basis_a,kept,x_a,x_b`` (LF newlines)."""
-    columns = (rounds[f].tolist() for f in _ROUND_DTYPE.names)
-    body = map("{},{},{},{:.12g},{:.12g}".format, *columns)
-    return "\n".join([",".join(_ROUND_DTYPE.names), *body]) + "\n"
+    """Per-round CSV with header ``basis_b,basis_a,kept,x_a,x_b`` (LF newlines).
+
+    Rows are formatted ``_CSV_BLOCK`` at a time by one %-format over the
+    block's interleaved columns; ``%.12g`` writes the same text as
+    ``{:.12g}``.
+    """
+    names = _ROUND_DTYPE.names
+    parts = [",".join(names) + "\n"]
+    for start in range(0, len(rounds), _CSV_BLOCK):
+        block = rounds[start : start + _CSV_BLOCK]
+        values = [None] * (len(names) * len(block))
+        for i, name in enumerate(names):
+            values[i :: len(names)] = block[name].tolist()
+        parts.append(("%s,%s,%d,%.12g,%.12g\n" * len(block)) % tuple(values))
+    return "".join(parts)

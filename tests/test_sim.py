@@ -3,7 +3,10 @@ full state pipeline, determinism, statistics quality, CSV export."""
 
 import hashlib
 import math
+import multiprocessing
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -412,3 +415,123 @@ def test_stats_as_dict_key_order():
         "sift_ratio",
         "rng",
     ]
+
+
+# --------------------------------------------------------------------------
+# Chunks on a thread pool, block-wise CSV export
+
+
+def test_rounds_csv_blocks_match_row_by_row_formatting():
+    block = sim_module._CSV_BLOCK
+    n = 2 * block + 37
+    rng = np.random.default_rng(77)
+    rec = np.empty(n, dtype=sim_module._ROUND_DTYPE)
+    rec["basis_b"] = rng.choice(["q", "p"], n)
+    rec["basis_a"] = rng.choice(["q", "p"], n)
+    rec["kept"] = rec["basis_a"] == rec["basis_b"]
+    rec["x_a"] = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    rec["x_b"] = rng.standard_normal(n)
+    specials = [-0.0, 5e-324, -2.5e-320, math.inf, -math.inf, math.nan]
+    for edge in (0, block, 2 * block, n):
+        for i, value in enumerate(specials):
+            row = edge - 3 + i
+            if 0 <= row < n:
+                rec["x_a"][row] = value
+                rec["x_b"][row] = specials[-1 - i]
+    want = ["basis_b,basis_a,kept,x_a,x_b"]
+    for row in rec:
+        want.append(
+            f"{row['basis_b']},{row['basis_a']},{int(row['kept'])},"
+            f"{row['x_a']:.12g},{row['x_b']:.12g}"
+        )
+    assert rounds_to_csv(rec) == "\n".join(want) + "\n"
+
+
+_PINNED_70000 = test_multi_chunk_run_matches_pinned_bits.pytestmark[0]  # its parametrize mark
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 8])
+@pytest.mark.parametrize(*_PINNED_70000.args)
+def test_worker_count_does_not_change_pinned_bits(
+    monkeypatch, cpus, tau, mode, kept, cov_hex, mi_hex, csv_sha
+):
+    cfg = SimConfig(tau=tau, nbar=0.1, mu=5.0, rounds=70000, seed=42, mode=mode)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 1)
+    _, want_rec = simulate(cfg, keep_rounds=True)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: cpus)
+    test_multi_chunk_run_matches_pinned_bits(tau, mode, kept, cov_hex, mi_hex, csv_sha)
+    _, rec = simulate(cfg, keep_rounds=True)
+    assert rec.tobytes() == want_rec.tobytes()
+
+
+def test_memory_stays_bounded_with_many_workers(monkeypatch):
+    # Rounds in flight are bounded by _CHUNK_ROUNDS however many CPUs there
+    # are: each of the 8 workers steps an eighth of it.
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 8)
+    longest = [0]
+    scaled_sum = sim_module._scaled_sum
+
+    def recording_scaled_sum(x):
+        longest[0] = max(longest[0], len(x))
+        return scaled_sum(x)
+
+    monkeypatch.setattr(sim_module, "_scaled_sum", recording_scaled_sum)
+    test_memory_is_bounded_by_the_chunk_not_the_round_count()
+    assert 0 < longest[0] <= sim_module._CHUNK_ROUNDS // 8
+
+
+def test_chunk_budget_keeps_the_scaled_sum_exact():
+    assert 1 <= sim_module._CHUNK_ROUNDS < 2**26
+
+
+@pytest.mark.parametrize("kwargs,match", PRECISION_LIMITS)
+def test_precision_limits_raise_from_worker_threads(monkeypatch, kwargs, match):
+    # Two rounds per chunk, so even the 4-round case spans two chunks.
+    monkeypatch.setattr(sim_module, "_CHUNK_ROUNDS", 6)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 3)
+    threads = set()
+    scaled_sum = sim_module._scaled_sum
+
+    def recording_scaled_sum(x):
+        threads.add(threading.current_thread())
+        return scaled_sum(x)
+
+    monkeypatch.setattr(sim_module, "_scaled_sum", recording_scaled_sum)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        test_precision_limits_raise_numeric_error(kwargs, match)
+    assert threading.main_thread() not in threads
+    assert threads or "are not all finite and positive" in match  # only these fail before sampling
+
+
+def _send_stats_bits(cfg, conn):
+    conn.send(_stats_bits(simulate(cfg)))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_runs_chunks_after_the_parent_did(monkeypatch):
+    # A thread pool that outlived the parent's call would deadlock the child.
+    monkeypatch.setattr(sim_module, "_CHUNK_ROUNDS", 3000)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 3)
+    cfg = SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=20000, seed=17, mode="sifted")
+    threads = threading.active_count()
+    want = _stats_bits(simulate(cfg))
+    assert threading.active_count() == threads  # no worker thread outlives the call
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_stats_bits, args=(cfg, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child returned no result within 60 s"
+        got = recv.recv()
+        child.join(10)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == want
