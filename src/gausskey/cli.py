@@ -7,8 +7,9 @@ Subcommands: ``rates`` (closed-form bounds at a point), ``thresholds``
 protocol Monte Carlo, JSON out), and ``classify`` (region flags at a point).
 
 Exit codes: 0 on success, 1 on domain errors (values outside the supported
-physics, e.g. tau = 1 or negative noise), 2 on flag errors (unknown,
-missing, or malformed flags).  Every error message names the offending flag.
+physics, e.g. tau = 1 or negative noise) and on output paths that cannot be
+opened for writing, 2 on flag errors (unknown, missing, or malformed
+flags).  Every error message names the offending flag.
 Floats are printed with 12 significant digits; the GAUSSKEY_PRECISION
 environment variable overrides the printed precision (output formatting
 only, never the computation and never the fixed CSV schema).
@@ -95,6 +96,15 @@ def _fail_domain(exc: GaussKeyError, fallback: str):
     sys.exit(1)
 
 
+def _open_output(path: str, flag: str):
+    """``open(path, "w")``, or print ``error: <flag>: ...`` and exit 1 if it fails."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        click.echo(f"error: {flag}: cannot write {path}: {exc.strerror}", err=True)
+        sys.exit(1)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="gausskey")
 def cli():
@@ -149,11 +159,11 @@ def thresholds(tau_min, tau_max, steps, tol, out, svg):
         curve = sweep(tau_min, tau_max, steps, tol=tol)
     except GaussKeyError as exc:
         _fail_domain(exc, "--tau-min/--tau-max")
-    with open(out, "w", newline="") as fh:
+    with _open_output(out, "--out") as fh:
         fh.write(curve_to_csv(curve))
     click.echo(f"wrote {len(curve.rows)} rows to {out}")
     if svg is not None:
-        with open(svg, "w", newline="") as fh:
+        with _open_output(svg, "--svg") as fh:
             fh.write(_curve_svg(curve))
         click.echo(f"wrote plot to {svg}")
 
@@ -233,8 +243,15 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
     try:
         cfg = SimConfig(tau=tau, nbar=nbar, mu=mu, rounds=rounds, seed=seed, mode=mode)
         if rounds_csv is not None:
-            stats, rec = simulate(cfg, keep_rounds=True)
-            with open(rounds_csv, "w", newline="") as fh:
+            # Opened before the run, so an unwritable path fails before any
+            # round; a run that then fails leaves no empty log behind.
+            with _open_output(rounds_csv, "--rounds-csv") as fh:
+                try:
+                    stats, rec = simulate(cfg, keep_rounds=True)
+                except GaussKeyError:
+                    fh.close()
+                    os.remove(rounds_csv)
+                    raise
                 fh.write(rounds_to_csv(rec))
         else:
             stats = simulate(cfg)

@@ -102,43 +102,54 @@ def _det2(block: np.ndarray) -> float:
     return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
 
 
-def _symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
+def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
     """Symplectic spectrum of a raw covariance array, descending, each >= 1.
 
     Raises if the array fails positive definiteness or the uncertainty bound.
-    n = 1 uses the exact closed form sqrt(det V).  For n >= 2 the spectrum
-    comes from the Hermitian matrix i sqrt(V) Omega sqrt(V), whose
-    eigenvalues are +-nu_k (Omega is applied as an exact signed column swap):
-    this is algebraically identical to the two-mode quadratic in Delta and
-    det V but stays accurate near degenerate spectra, where the quadratic's
-    clamped square root turns O(eps * scale^2) rounding in the discriminant
-    into O(sqrt(eps) * scale) error in nu (a tmsv state already trips the
+    n = 1 uses the exact closed form sqrt(det V).  For n >= 2 the array is
+    factorised as V = L L^T and the spectrum comes from the Hermitian matrix
+    i L^T Omega L, whose eigenvalues are +-nu_k for any such factor L (Omega
+    is applied as an exact signed column swap).  This is algebraically
+    identical to the two-mode quadratic in Delta and det V but stays
+    accurate near degenerate spectra, where the quadratic's clamped square
+    root turns O(eps * scale^2) rounding in the discriminant into
+    O(sqrt(eps) * scale) error in nu (a tmsv state already trips the
     uncertainty check at mu ~ 100 that way).
+
+    L is the Cholesky factor, and its existence is the positive-definiteness
+    test.  Only for an array Cholesky refuses (indefinite, or numerically
+    singular such as tmsv(mu) for mu >= ~1e8) is the smallest eigenvalue
+    checked against a band of -1e-12 * max|V|; inside the band, L is the
+    symmetric square root from ``eigh``.
 
     Validation tolerances scale with the largest entry: float error in the
     eigenvalues grows with the matrix norm, and an absolute 1e-9 band would
     reject valid states of large variance.
     """
     n = m.shape[0] // 2
-    scale = max(1.0, float(np.abs(m).max()))
     if n == 1:
         det = _det2(m)
         if m[0, 0] <= 0.0 or det <= 0.0:
             raise InvalidStateError("covariance matrix is not positive definite")
-        nu = np.array([math.sqrt(det)])
+        nu = [math.sqrt(det)]
     else:
-        evals, vecs = np.linalg.eigh(m)
-        if evals[0] <= -SYMMETRY_ATOL * scale:
-            raise InvalidStateError("covariance matrix is not positive definite")
-        root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
-        spec = np.linalg.eigvalsh(1j * (_times_omega(root) @ root))
-        nu = spec[n:][::-1].copy()
-    low = float(nu.min())
+        try:
+            root = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            evals, vecs = np.linalg.eigh(m)
+            if evals[0] <= -SYMMETRY_ATOL * max(1.0, float(np.abs(m).max())):
+                raise InvalidStateError("covariance matrix is not positive definite")
+            root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
+        spec = np.linalg.eigvalsh(1j * (_times_omega(root.T) @ root))
+        nu = spec[: n - 1 : -1].tolist()
+    # A positive-definite array's largest entry lies on its diagonal.
+    scale = max(1.0, *m.diagonal().tolist())
+    low = nu[-1]
     if low < 1.0 - PHYSICALITY_ATOL * scale:
         raise InvalidStateError(
             f"unphysical covariance matrix: symplectic eigenvalue {low} < 1"
         )
-    return np.maximum(nu, 1.0)
+    return tuple(max(v, 1.0) for v in nu)
 
 
 def _variance(v: float, what: str, field: str | None = None) -> float:
@@ -174,11 +185,14 @@ def _congruence(v: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class CovMat:
     """Covariance matrix of an n-mode Gaussian state.
 
-    Validated on construction: the array must be 2n x 2n, symmetric (within
-    1e-12 relative to its largest entry), positive definite, and satisfy the
-    uncertainty relation (every symplectic eigenvalue >= 1 - 1e-9).  The
-    stored array is read-only, and the spectrum found is kept in ``_nu`` for
-    spectra and entropies; all operations return new instances.
+    Validated on construction: the array must be 2n x 2n with finite
+    entries, symmetric (within 1e-12 relative to its largest entry),
+    positive definite (it has a Cholesky factor; an array too singular for
+    one may have no eigenvalue at or below -1e-12 times its largest entry),
+    and satisfy the uncertainty relation (every symplectic eigenvalue
+    >= 1 - 1e-9 times max(1, largest entry)).  The stored array is
+    read-only, and the spectrum found is kept in ``_nu`` for spectra and
+    entropies; all operations return new instances.
     """
 
     entries: np.ndarray
@@ -190,15 +204,15 @@ class CovMat:
             raise InvalidStateError(
                 f"covariance matrix must be square 2n x 2n, got shape {m.shape}"
             )
-        if not np.isfinite(m).all():
+        peak = float(np.abs(m).max())
+        if not math.isfinite(peak):
             raise InvalidStateError("covariance matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.T).max()) > SYMMETRY_ATOL * scale:
+        if float(np.abs(m - m.T).max()) > SYMMETRY_ATOL * max(1.0, peak):
             raise InvalidStateError("covariance matrix is not symmetric")
         m = 0.5 * (m + m.T)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_nu", tuple(_symplectic_eigenvalues(m).tolist()))
+        object.__setattr__(self, "_nu", _symplectic_eigenvalues(m))
 
     @property
     def n_modes(self) -> int:

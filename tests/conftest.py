@@ -1,9 +1,11 @@
 """Shared helpers: random symplectics, random valid states, spectrum oracles.
 
 The spectrum oracles here are deliberately independent of the production
-route (which diagonalizes i sqrt(V) Omega sqrt(V)): one goes through the
-generic complex eigensolver on i Omega V, the other through the two-mode
-quadratic in Delta and det V.  Tests compare all routes.
+route (which diagonalizes i L^T Omega L for the Cholesky factor V = L L^T):
+one goes through the generic complex eigensolver on i Omega V, one through
+the two-mode quadratic in Delta and det V, and one through the symmetric
+square root, i sqrt(V) Omega sqrt(V) with sqrt(V) from eigh.  Tests compare
+all routes.
 """
 
 import numpy as np
@@ -47,3 +49,12 @@ def spectrum_two_mode_closed_form(state):
     hi = np.sqrt(0.5 * (delta + np.sqrt(disc)))
     lo = np.sqrt(max(0.5 * (delta - np.sqrt(disc)), 0.0))
     return np.array([hi, lo])
+
+
+def spectrum_via_eigh_root(m):
+    """Eigenvalues of i sqrt(V) Omega sqrt(V), sqrt(V) from eigh; descending, clamped at 1."""
+    n = m.shape[0] // 2
+    evals, vecs = np.linalg.eigh(m)
+    root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
+    spec = np.linalg.eigvalsh(1j * (root @ symplectic_form(n) @ root))
+    return np.maximum(spec[n:][::-1], 1.0)

@@ -234,6 +234,15 @@ def test_simulate_flag_validation():
     assert "rounds kept" in starved.stderr
 
 
+def test_simulate_failed_run_leaves_no_round_log(tmp_path):
+    log = tmp_path / "rounds.csv"
+    result = _run(["simulate", "--tau", "0.5", "--nbar", "0", "--mu", "5", "--rounds", "1",
+                   "--seed", "0", "--mode", "memory", "--rounds-csv", str(log)])
+    assert result.exit_code == 1
+    assert "rounds kept" in result.stderr
+    assert not log.exists()
+
+
 def test_thresholds_writes_csv_and_svg(tmp_path):
     csv_path = tmp_path / "curve.csv"
     svg_path = tmp_path / "curve.svg"
@@ -272,6 +281,31 @@ def test_thresholds_rejects_unreachable_tolerance(tmp_path, tol):
     assert result.exit_code == 1
     assert result.stderr.startswith("error: --tol: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_thresholds_unwritable_output_is_a_flag_error(tmp_path, flag):
+    paths = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg")}
+    paths[flag] = str(tmp_path / "missing" / "x")
+    result = _run(["thresholds", "--tau-min", "0.2", "--tau-max", "0.8", "--steps", "3",
+                   "--out", paths["--out"], "--svg", paths["--svg"]])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {flag}: cannot write ")
+    assert "Traceback" not in result.stderr
+
+
+def test_simulate_unwritable_round_log_fails_before_any_round(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr("gausskey.cli.simulate", lambda *a, **k: runs.append(a))
+    result = _run(["simulate", "--tau", "0.5", "--nbar", "0", "--mu", "5", "--rounds", "30",
+                   "--seed", "3", "--mode", "memory",
+                   "--rounds-csv", str(tmp_path / "missing" / "rounds.csv")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: --rounds-csv: cannot write ")
+    assert "Traceback" not in result.stderr
+    assert runs == []
 
 
 def test_classify_region_text():

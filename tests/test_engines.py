@@ -276,3 +276,18 @@ def test_engines_avoid_the_slow_array_constructors(monkeypatch):
         assert math.isfinite(ci_finite_mu(ch, 100.0))
         assert math.isfinite(protocol_rate_numeric(ch, 100.0))
         assert _protocol_state(ch, 100.0).n_modes == 5
+
+
+def test_engines_validate_every_state_without_eigh(monkeypatch):
+    # Cholesky is the positive-definiteness test; eigh is reserved for the
+    # numerically singular arrays Cholesky refuses, which no state at these
+    # mu values is.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for ch in (make_canonical(0.5, nbar=0.1), make_canonical(2.0, nbar=0.1)):
+        for mu in (10.0, 1e2, 1e3, 1e4):
+            assert math.isfinite(rci_finite_mu(ch, mu))
+            assert math.isfinite(ci_finite_mu(ch, mu))
+            assert math.isfinite(protocol_rate_numeric(ch, mu))

@@ -10,10 +10,12 @@ from conftest import (
     random_state,
     random_symplectic,
     spectrum_two_mode_closed_form,
+    spectrum_via_eigh_root,
     spectrum_via_iomega,
 )
 
 import gausskey as gk
+from gausskey.engines import _protocol_state
 from gausskey.errors import (
     DegenerateMeasurementError,
     DomainError,
@@ -112,6 +114,27 @@ def test_two_mode_closed_form_matches_oracle_1000_states():
         np.testing.assert_allclose(
             closed, np.array(gk.symplectic_spectrum(state).values), atol=1e-9
         )
+
+
+def test_cholesky_spectrum_matches_eigh_root_oracle():
+    # Both routes round V at eps * max|V|, and a strongly squeezed state's
+    # spectrum amplifies that by up to max|V| again: they agree with each
+    # other, and the pure protocol states with their exact spectrum (all
+    # ones), to a small multiple of eps * max(1, max|V|)^2.
+    rng = np.random.default_rng(41)
+    mixed = [random_state(rng, n)[0] for n in (2, 3, 4, 5) for _ in range(50)]
+    channels = [gk.make_canonical(0.5, nbar=0.1), gk.make_canonical(2.0, nbar=0.0),
+                gk.make_canonical(5.0, nbar=0.1)]
+    pure = [_protocol_state(ch, mu) for ch in channels for mu in (10.0, 1e2, 1e3, 1e4)]
+
+    def bound(state):
+        return 1e-14 * max(1.0, float(np.abs(state.entries).max())) ** 2
+
+    for state in mixed + pure:
+        oracle = spectrum_via_eigh_root(state.entries)
+        np.testing.assert_allclose(state._nu, oracle, rtol=0, atol=bound(state))
+    for state in pure:
+        np.testing.assert_allclose(state._nu, 1.0, rtol=0, atol=bound(state))
 
 
 def test_spectrum_supports_four_and_five_modes():
@@ -286,6 +309,16 @@ def test_covmat_validation():
     with pytest.raises(InvalidStateError):
         gk.CovMat(np.diag([4.0, 0.1]))  # nu < 1
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_non_finite_entries_are_invalid_states(bad, size, where):
+    m = np.eye(size)
+    m[where] = bad
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        gk.CovMat(m)
 
 
 def test_indefinite_two_mode_matrices_are_invalid_states():
