@@ -5,29 +5,41 @@ vacuum variance 1 (so a covariance matrix V is physical when
 V + i*Omega >= 0 with Omega the standard symplectic form), and all
 entropies and rates in bits.
 
-The package splits into a small linear-algebra core (`symplectic`), the
-canonical one-mode channel forms and their two-mode dilations (`channels`),
-closed-form rate bounds (`rates`), finite-squeezing numerical engines that
-converge to those bounds (`engines`), security-threshold curves over the
-channel parameter plane (`thresholds`), and a seeded Monte Carlo of the
-homodyne reverse-reconciliation protocol (`sim`).
+The package splits into the canonical one-mode channels and their
+closed-form rate bounds (`rates`), security-threshold curves over the
+channel parameter plane (`thresholds`), a small linear-algebra core
+(`symplectic`), the channels' covariance action and two-mode dilations
+(`channels`), finite-squeezing numerical engines that converge to the
+closed forms (`engines`), and a seeded Monte Carlo of the homodyne
+reverse-reconciliation protocol (`sim`).
+
+`errors`, `rates` and `thresholds` are pure `math` and load with the
+package.  The numpy-backed modules load on the first use of any other name.
 """
 
-from . import channels, engines, errors, rates, sim, symplectic, thresholds
-from .channels import *
-from .engines import *
+import importlib
+
+from . import errors, rates, thresholds
 from .errors import *
 from .rates import *
-from .sim import *
-from .symplectic import *
 from .thresholds import *
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is the one list of its public names; the package
-# republishes them all.
-__all__ = [
-    name
-    for module in (channels, engines, errors, rates, sim, symplectic, thresholds)
-    for name in module.__all__
-]
+_MODULES = ("channels", "engines", "errors", "rates", "sim", "symplectic", "thresholds")
+
+
+def __getattr__(name: str):
+    # First miss (PEP 562): load every module and bind all of their public
+    # names at once, as star-imports would.  Each module's __all__ is the one
+    # list of its public names; the package republishes them all.
+    names = globals()
+    if "__all__" not in names:
+        modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
+        for module in modules:
+            names.update((n, getattr(module, n)) for n in module.__all__)
+        names["__all__"] = [n for module in modules for n in module.__all__]
+    try:
+        return names[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

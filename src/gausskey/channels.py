@@ -1,8 +1,8 @@
-"""One-mode Gaussian channels in canonical form, with environment dilations.
+"""Covariance action of the canonical one-mode channels, with environment dilations.
 
-A channel is fixed by its transmission ``tau`` (tau != 1) and the mean photon
-number ``nbar`` of its effective thermal environment.  On covariance matrices
-it acts on the targeted mode as
+The channel record (``CanonicalChannel``, built by ``make_canonical``) lives
+in the numpy-free ``rates`` module and is re-exported here.  On covariance
+matrices a channel acts on the targeted mode as
 
     V  ->  X V X^T + Y,
 
@@ -10,11 +10,6 @@ it acts on the targeted mode as
         0                   for tau = 0,
         sqrt(-tau) diag(1,-1) for tau < 0 (phase conjugation),
     Y = |1 - tau| (2 nbar + 1) I2.
-
-Class labels: "A1" (tau = 0, thermal replacement), "C_att" (0 < tau < 1,
-attenuating), "C_amp" (tau > 1, amplifying), "D" (tau < 0, phase
-conjugating).  The additive-noise family at tau = 1 (classes B1/B2) is
-rejected everywhere.
 
 The attenuating and amplifying classes admit a two-mode environment model:
 the signal is coupled by a beam splitter of transmissivity tau (or a
@@ -27,12 +22,12 @@ everything leaking out of the channel.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedChannelError
+from .errors import UnsupportedChannelError
+from .rates import CanonicalChannel, make_canonical
 from .symplectic import (
     CovMat,
     _congruence,
@@ -45,9 +40,7 @@ from .symplectic import (
 )
 
 __all__ = [
-    "CanonicalChannel",
     "Dilation",
-    "make_canonical",
     "apply_channel",
     "dilate",
     "apply_dilation",
@@ -55,72 +48,6 @@ __all__ = [
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
-
-_MAX = sys.float_info.max
-_HALF_MAX = _MAX / 2.0  # largest nbar with a finite w = 2 nbar + 1
-
-
-@dataclass(frozen=True)
-class CanonicalChannel:
-    """Canonical one-mode Gaussian channel."""
-
-    tau: float
-    nbar: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise DomainError(f"transmission must be finite, got {self.tau}", field="tau")
-        if self.tau == 1.0:
-            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        # Also rejects NaN and inf: one chained comparison keeps this cheap.
-        if not (0.0 <= self.nbar <= _HALF_MAX and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
-            raise DomainError(
-                f"temperature nbar must be finite and >= 0, with finite w and eps, got {self.nbar}",
-                field="nbar",
-            )
-
-    @property
-    def class_label(self) -> str:
-        if self.tau == 0.0:
-            return "A1"
-        if self.tau < 0.0:
-            return "D"
-        return "C_att" if self.tau < 1.0 else "C_amp"
-
-    @property
-    def eps(self) -> float:
-        """Scaled thermal noise 2 nbar |1 - tau| (additive noise variance)."""
-        return 2.0 * self.nbar * abs(1.0 - self.tau)
-
-    @property
-    def w(self) -> float:
-        """Environment quadrature variance 2 nbar + 1."""
-        return 2.0 * self.nbar + 1.0
-
-
-def make_canonical(
-    tau: float, nbar: float | None = None, eps: float | None = None
-) -> CanonicalChannel:
-    """Build a canonical channel from ``tau`` and exactly one noise parameter.
-
-    Noise may be given as the environment temperature ``nbar`` or as the
-    scaled noise ``eps`` = 2 nbar |1 - tau|; both must be finite and
-    non-negative, and neither w nor eps may overflow.
-    """
-    tau = float(tau)
-    if (nbar is None) == (eps is None):
-        raise DomainError("exactly one of nbar and eps must be given", field="nbar/eps")
-    if eps is not None:
-        if tau == 1.0:  # guards the division below
-            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        eps = float(eps)
-        nbar = eps / (2.0 * abs(1.0 - tau))
-        if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
-            raise DomainError(
-                f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
-                field="eps",
-            )
-    return CanonicalChannel(tau=tau, nbar=float(nbar))
 
 
 def _channel_x(ch: CanonicalChannel) -> np.ndarray:

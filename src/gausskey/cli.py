@@ -26,7 +26,6 @@ from dataclasses import asdict, astuple, fields
 import click
 
 from . import __version__
-from .channels import make_canonical
 from .engines import (
     ENGINES,
     PORT_MODELS,
@@ -35,7 +34,7 @@ from .engines import (
     protocol_rate_numeric,
 )
 from .errors import GaussKeyError
-from .rates import r_rev, rate_report
+from .rates import make_canonical, r_rev, rate_report
 from .sim import SimConfig, rounds_to_csv, simulate
 from .thresholds import ThresholdCurve, classify, curve_to_csv, sweep
 

@@ -1,4 +1,10 @@
-"""Closed-form secret-key-rate bounds for canonical one-mode channels.
+"""Canonical one-mode channels and their closed-form secret-key-rate bounds.
+
+A channel is fixed by its transmission ``tau`` (tau != 1) and the mean photon
+number ``nbar`` of its effective thermal environment.  Class labels: "A1"
+(tau = 0, thermal replacement), "C_att" (0 < tau < 1, attenuating), "C_amp"
+(tau > 1, amplifying), "D" (tau < 0, phase conjugating).  The additive-noise
+family at tau = 1 (classes B1/B2) is rejected everywhere.
 
 Three bounds, all in bits per channel use, all clipped at zero:
 
@@ -20,17 +26,22 @@ With d = |1 - tau|, w = 2 nbar + 1 and g the thermal entropy function:
     q1g interior    = log2(|tau|/d) - g(nbar)          (-inf at tau = 0)
     r_rev interior  = (1/2) log2(lambda/d) + g(sqrt(w/(4 lambda)) - 1/2)
                       - g(nbar),   lambda = (d + w) / (1 + d w).
+
+Everything here is pure ``math``, so the closed-form layer loads without numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
-from .channels import CanonicalChannel
-from .symplectic import entropy_g
+from .errors import DomainError, UnsupportedChannelError
 
 __all__ = [
+    "CanonicalChannel",
+    "make_canonical",
+    "entropy_g",
     "RateReport",
     "e_r",
     "e_r_interior",
@@ -41,6 +52,92 @@ __all__ = [
     "mixing_lambda",
     "rate_report",
 ]
+
+_MAX = sys.float_info.max
+_HALF_MAX = _MAX / 2.0  # largest nbar with a finite w = 2 nbar + 1
+_LN2 = math.log(2.0)
+
+
+@dataclass(frozen=True)
+class CanonicalChannel:
+    """Canonical one-mode Gaussian channel."""
+
+    tau: float
+    nbar: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise DomainError(f"transmission must be finite, got {self.tau}", field="tau")
+        if self.tau == 1.0:
+            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
+        # Also rejects NaN and inf: one chained comparison keeps this cheap.
+        if not (0.0 <= self.nbar <= _HALF_MAX and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
+            raise DomainError(
+                f"temperature nbar must be finite and >= 0, with finite w and eps, got {self.nbar}",
+                field="nbar",
+            )
+
+    @property
+    def class_label(self) -> str:
+        if self.tau == 0.0:
+            return "A1"
+        if self.tau < 0.0:
+            return "D"
+        return "C_att" if self.tau < 1.0 else "C_amp"
+
+    @property
+    def eps(self) -> float:
+        """Scaled thermal noise 2 nbar |1 - tau| (additive noise variance)."""
+        return 2.0 * self.nbar * abs(1.0 - self.tau)
+
+    @property
+    def w(self) -> float:
+        """Environment quadrature variance 2 nbar + 1."""
+        return 2.0 * self.nbar + 1.0
+
+
+def make_canonical(
+    tau: float, nbar: float | None = None, eps: float | None = None
+) -> CanonicalChannel:
+    """Build a canonical channel from ``tau`` and exactly one noise parameter.
+
+    Noise may be given as the environment temperature ``nbar`` or as the
+    scaled noise ``eps`` = 2 nbar |1 - tau|; both must be finite and
+    non-negative, and neither w nor eps may overflow.
+    """
+    tau = float(tau)
+    if (nbar is None) == (eps is None):
+        raise DomainError("exactly one of nbar and eps must be given", field="nbar/eps")
+    if eps is not None:
+        if tau == 1.0:  # guards the division below
+            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
+        eps = float(eps)
+        nbar = eps / (2.0 * abs(1.0 - tau))
+        if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
+            raise DomainError(
+                f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
+                field="eps",
+            )
+    return CanonicalChannel(tau=tau, nbar=float(nbar))
+
+
+def entropy_g(x: float) -> float:
+    """Entropy in bits of a thermal state with mean photon number ``x``.
+
+    g(x) = (x + 1) log2(x + 1) - x log2(x), extended continuously to
+    g(0) = 0.  Strictly increasing for finite x >= 0; any other x raises.
+    Evaluated as [log1p(x) + x log(1 + 1/x)] / ln 2, which has no
+    cancellation at large x; below x = 1 the second logarithm is
+    log1p(x) - log(x), since 1/x overflows for subnormal x.
+    """
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"entropy_g requires finite x >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    head = math.log1p(x)
+    tail = math.log1p(1.0 / x) if x >= 1.0 else head - math.log(x)
+    return (head + x * tail) / _LN2
 
 
 def e_r_interior(ch: CanonicalChannel) -> float:

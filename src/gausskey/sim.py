@@ -46,8 +46,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import make_canonical
 from .errors import DomainError, EmptyStatisticsError, NumericError, _whole
+from .rates import make_canonical
 from .symplectic import _variance
 
 __all__ = [

@@ -11,6 +11,8 @@ States are represented by :class:`CovMat`.  First moments are never tracked:
 every quantity computed here is invariant under displacements, and the one
 consumer that needs outcome statistics (the protocol simulator) works with
 scalar moments directly.  Each state is diagonalised once, when validated.
+The thermal entropy ``entropy_g`` lives in the numpy-free ``rates`` module
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, _whole
+from .rates import entropy_g
 
 __all__ = [
     "CovMat",
     "SymplecticSpectrum",
-    "entropy_g",
     "symplectic_form",
     "vacuum",
     "thermal",
@@ -51,8 +53,6 @@ SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 SYMPLECTIC_ATOL = 1e-10
 
-_LN2 = math.log(2.0)
-
 
 def _mode_count(n_modes) -> int:
     """``int(n_modes)`` if it is a whole number >= 1, else raise."""
@@ -77,25 +77,6 @@ def _times_omega(x: np.ndarray) -> np.ndarray:
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form for the (q1, p1, ..., qn, pn) ordering (a new array)."""
     return _times_omega(np.eye(2 * _mode_count(n_modes)))
-
-
-def entropy_g(x: float) -> float:
-    """Entropy in bits of a thermal state with mean photon number ``x``.
-
-    g(x) = (x + 1) log2(x + 1) - x log2(x), extended continuously to
-    g(0) = 0.  Strictly increasing for finite x >= 0; any other x raises.
-    Evaluated as [log1p(x) + x log(1 + 1/x)] / ln 2, which has no
-    cancellation at large x; below x = 1 the second logarithm is
-    log1p(x) - log(x), since 1/x overflows for subnormal x.
-    """
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"entropy_g requires finite x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    head = math.log1p(x)
-    tail = math.log1p(1.0 / x) if x >= 1.0 else head - math.log(x)
-    return (head + x * tail) / _LN2
 
 
 def _det2(block: np.ndarray) -> float:

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
-from .channels import make_canonical
 from .errors import DomainError, NumericError, _whole
-from .rates import e_r_interior, q1g_interior, r_rev_interior
+from .rates import e_r_interior, make_canonical, q1g_interior, r_rev_interior
 
 __all__ = [
     "RATE_IDS",
@@ -159,6 +156,23 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     return _threshold_impl(rate_id, float(tau), tol)
 
 
+def _grid(a: float, b: float, n: int) -> Iterator[float]:
+    """``numpy.linspace(a, b, n)`` bit for bit, as Python floats.
+
+    Point i is a + i*step with step = (b - a)/(n - 1), and the last point is
+    exactly b.  A step that underflows to 0 takes numpy's branch for
+    subnormal spans, a + (i/(n - 1))*(b - a).
+    """
+    delta, div = b - a, n - 1
+    if div == 0:
+        yield 0.0 * delta + a
+        return
+    step = delta / div
+    for i in range(div):
+        yield (i * step if step != 0.0 else i / div * delta) + a
+    yield b
+
+
 def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> ThresholdCurve:
     """Threshold rows on an even transmission grid, skipping tau = 1.
 
@@ -167,16 +181,14 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     """
     if not _whole(steps) or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps}", field="steps")
-    if not -math.inf < tau_min <= tau_max < math.inf:
+    if not (-math.inf < tau_min <= tau_max < math.inf and math.isfinite(tau_max - tau_min)):
         raise DomainError(
-            f"need finite tau_max >= tau_min, got [{tau_min}, {tau_max}]",
+            f"need finite tau_max >= tau_min with a finite span, got [{tau_min}, {tau_max}]",
             field="tau_min/tau_max",
         )
     _check_tol(tol)
-    taus = np.linspace(float(tau_min), float(tau_max), int(steps))
     rows = []
-    for t in taus:
-        t = float(t)
+    for t in _grid(float(tau_min), float(tau_max), int(steps)):
         if abs(t - 1.0) < TAU_ONE_SKIP:
             continue
         eps_q = _threshold_impl("q1g", t, tol)

@@ -273,6 +273,16 @@ def test_thresholds_flag_validation(tmp_path):
         assert named in result.stderr
 
 
+def test_thresholds_rejects_an_overflowing_span(tmp_path):
+    out = tmp_path / "x.csv"
+    result = _run(["thresholds", "--tau-min", "-1e308", "--tau-max", "1e308", "--steps", "3",
+                   "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --tau-min/--tau-max: ")
+    assert "Warning" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e-17"])
 def test_thresholds_rejects_unreachable_tolerance(tmp_path, tol):
     out = tmp_path / "x.csv"

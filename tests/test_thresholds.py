@@ -2,6 +2,8 @@
 grids, CSV schema, region classification."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,61 @@ def test_sweep_rejects_bad_grids():
         sweep(0.8, 0.2, 5)
     with pytest.raises(DomainError, match="grid is empty"):
         sweep(0.9999995, 1.0000005, 3)
+
+
+def test_sweep_rejects_an_overflowing_span():
+    # Both ends are finite but tau_max - tau_min is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="tau_max >= tau_min") as exc:
+            sweep(-1e308, 1e308, 3)
+    assert exc.value.field == "tau_min/tau_max"
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _grid_cases(rng, per_family=4000):
+    """Seeded (a, b, n) triples over every branch of ``numpy.linspace``."""
+    tiny, big = 5e-324, sys.float_info.max
+    for _ in range(per_family):
+        n = int(rng.integers(1, 60)) if rng.random() < 0.95 else int(rng.integers(60, 2000))
+        x, y = (float(v) for v in rng.uniform(-1e3, 1e3, 2))
+        yield x, y, n  # mixed signs, either order
+        yield -abs(x), -abs(y), n  # negative range
+        yield x, x, n  # a == b
+        k, j = (int(v) for v in rng.integers(-50, 50, 2))
+        yield k * tiny, (k + abs(j)) * tiny, n  # subnormal span: step underflows
+        centre, half = float(rng.uniform(-0.5, 0.5)) * big, float(rng.uniform(0.25, 0.5)) * big
+        yield centre - half, centre + half, n  # span just below overflow
+
+
+def test_grid_matches_numpy_linspace_bit_for_bit():
+    grid = gausskey.thresholds._grid
+    rng = np.random.default_rng(20261018)
+    cases = [*_grid_cases(rng), (0.0, 0.0, 1), (-0.0, -0.0, 1), (-0.0, -0.0, 3), (-0.0, 1.0, 1)]
+    assert len(cases) >= 20_000
+    zero_steps = 0
+    for a, b, n in cases:
+        assert _hexes(grid(a, b, n)) == _hexes(np.linspace(a, b, n)), (a, b, n)
+        zero_steps += n > 1 and a != b and (b - a) / (n - 1) == 0.0
+    assert zero_steps > 100  # numpy's subnormal branch was exercised
+
+
+def test_sweep_grid_on_the_bench_lattice_is_numpy_linspace():
+    # The threshold_curves benchmark sweeps a/500 .. (a + (steps - 1) m)/500.
+    grid = gausskey.thresholds._grid
+    rng = np.random.default_rng(500)
+    for _ in range(2000):
+        steps = int(round(20 * 40 ** rng.random()))
+        m = int(rng.integers(1, 3000 // (steps - 1) + 1))
+        a = int(rng.integers(-1500, 1500 - (steps - 1) * m + 1))
+        lo, hi = a / 500, (a + (steps - 1) * m) / 500
+        assert _hexes(grid(lo, hi, steps)) == _hexes(np.linspace(lo, hi, steps)), (a, m, steps)
+    for lo, hi, steps in [(-1.2, 1.0, 12), (0.1, 1.9, 25), (0.996, 1.004, 5)]:
+        taus = [t for t in np.linspace(lo, hi, steps).tolist() if abs(t - 1.0) >= 1e-6]
+        assert _hexes(row.tau for row in sweep(lo, hi, steps).rows) == _hexes(taus)
 
 
 def test_threshold_order_below_unit_transmission():
