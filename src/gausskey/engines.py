@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .channels import CanonicalChannel, apply_channel, apply_dilation, dilate
-from .errors import DomainError, NumericError, UnsupportedChannelError
+from .errors import DomainError, NumericError, UnsupportedChannelError, _float
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
@@ -96,7 +96,7 @@ def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis
             f"protocol engine needs an attenuating or amplifying channel, "
             f"got class {ch.class_label}"
         )
-    if not MIN_PROTOCOL_MU <= float(mu) < math.inf:
+    if not MIN_PROTOCOL_MU <= _float(mu) < math.inf:
         raise DomainError(
             f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, got {mu}"
         )
@@ -186,7 +186,7 @@ def convergence_table(
     """
     if engine not in ENGINES:
         raise DomainError(f"engine must be one of {ENGINES}, got {engine!r}")
-    mu_list = [float(m) for m in mu_values]
+    mu_list = [_float(m) for m in mu_values]
     if not mu_list:
         raise DomainError("mu_values must not be empty")
     if engine == "rci":

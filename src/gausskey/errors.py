@@ -6,6 +6,8 @@ argument fails its check; every other error, such as a state an engine built
 itself, has ``field`` None.
 """
 
+import math
+
 __all__ = [
     "GaussKeyError",
     "DomainError",
@@ -50,8 +52,20 @@ class EmptyStatisticsError(GaussKeyError, RuntimeError):
 
 
 def _whole(x) -> bool:
-    """True if ``x`` is a finite whole number, such as 3 or 1e5."""
+    """True if ``x`` is a whole number that fits a float, such as 3 or 1e5."""
     try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        return int(x) == x and math.isfinite(x)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, 10**400, non-numbers
         return False
+
+
+def _float(x) -> float:
+    """``float(x)``, or +-inf where ``x`` is too large for a float, such as 10**400.
+
+    The finiteness check that follows each conversion then refuses it with a
+    ``DomainError`` naming its field, instead of a bare ``OverflowError``.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

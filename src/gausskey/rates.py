@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError, UnsupportedChannelError
+from .errors import DomainError, UnsupportedChannelError, _float
 
 __all__ = [
     "CanonicalChannel",
@@ -58,7 +58,7 @@ _HALF_MAX = _MAX / 2.0  # largest nbar with a finite w = 2 nbar + 1
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalChannel:
     """Canonical one-mode Gaussian channel."""
 
@@ -66,7 +66,8 @@ class CanonicalChannel:
     nbar: float
 
     def __post_init__(self):
-        if not math.isfinite(self.tau):
+        # Unlike math.isfinite, also refuses an integer too large for a float.
+        if not abs(self.tau) <= _MAX:
             raise DomainError(f"transmission must be finite, got {self.tau}", field="tau")
         if self.tau == 1.0:
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
@@ -105,20 +106,26 @@ def make_canonical(
     scaled noise ``eps`` = 2 nbar |1 - tau|; both must be finite and
     non-negative, and neither w nor eps may overflow.
     """
-    tau = float(tau)
     if (nbar is None) == (eps is None):
         raise DomainError("exactly one of nbar and eps must be given", field="nbar/eps")
+    try:
+        tau = float(tau)
+        if eps is None:
+            nbar = float(nbar)
+        else:
+            eps = float(eps)
+    except OverflowError:  # an integer too large for a float, refused below as +-inf
+        tau, nbar, eps = (v if v is None else _float(v) for v in (tau, nbar, eps))
     if eps is not None:
         if tau == 1.0:  # guards the division below
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        eps = float(eps)
         nbar = eps / (2.0 * abs(1.0 - tau))
         if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
             raise DomainError(
                 f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
                 field="eps",
             )
-    return CanonicalChannel(tau=tau, nbar=float(nbar))
+    return CanonicalChannel(tau, nbar)
 
 
 def entropy_g(x: float) -> float:
@@ -130,7 +137,10 @@ def entropy_g(x: float) -> float:
     cancellation at large x; below x = 1 the second logarithm is
     log1p(x) - log(x), since 1/x overflows for subnormal x.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an integer too large for a float, refused below as +-inf
+        x = _float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"entropy_g requires finite x >= 0, got {x}")
     if x == 0.0:
@@ -167,8 +177,11 @@ def mixing_lambda(ch: CanonicalChannel) -> float:
 
     Equals 1 at nbar = 0 and approaches w from below as |1-tau| -> 0.
     """
-    d = abs(1.0 - ch.tau)
-    return (d + ch.w) / (1.0 + d * ch.w)
+    return _lambda(abs(1.0 - ch.tau), ch.w)
+
+
+def _lambda(d: float, w: float) -> float:
+    return (d + w) / (1.0 + d * w)
 
 
 def r_rev_interior(ch: CanonicalChannel) -> float:
@@ -178,8 +191,9 @@ def r_rev_interior(ch: CanonicalChannel) -> float:
     value reduces to exactly half of the ``e_r`` interior.
     """
     d = abs(1.0 - ch.tau)
-    lam = mixing_lambda(ch)
-    arg = max(0.0, math.sqrt(ch.w / (4.0 * lam)) - 0.5)
+    w = ch.w
+    lam = _lambda(d, w)
+    arg = max(0.0, math.sqrt(w / (4.0 * lam)) - 0.5)
     return (
         0.5 * (math.log2(lam) - math.log2(d))
         + entropy_g(arg)

@@ -144,7 +144,7 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     negative for tau > 0 and positive for tau < 0, because phase conjugation
     flips the sign of the p correlation.
     """
-    ch = make_canonical(float(tau), nbar=float(nbar))
+    ch = make_canonical(tau, nbar=nbar)
     mu = _variance(mu, "source variance mu")
     if basis not in ("q", "p"):
         raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, _whole
+from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, _float, _whole
 from .rates import entropy_g
 
 __all__ = [
@@ -135,7 +135,7 @@ def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
 
 def _variance(v: float, what: str, field: str | None = None) -> float:
     """``float(v)`` if it is a quadrature variance, finite and >= 1, else raise."""
-    v = float(v)
+    v = _float(v)
     if not 1.0 <= v < math.inf:
         raise DomainError(f"{what} must be >= 1 and finite, got {v}", field=field)
     return v
@@ -268,7 +268,7 @@ def partial_trace(state: CovMat, keep) -> CovMat:
 
 def beam_splitter(eta: float) -> np.ndarray:
     """Two-mode beam-splitter symplectic with transmissivity ``eta`` in [0, 1]."""
-    eta = float(eta)
+    eta = _float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"beam-splitter transmissivity must be in [0, 1], got {eta}")
     t = math.sqrt(eta)

@@ -4,8 +4,8 @@ For each rate bound the threshold is the smallest scaled noise eps at which
 the rate reaches zero at fixed transmission.  The search runs on the signed
 interiors, which decrease from a positive value at eps = 0 (when the rate is
 positive at all) through zero: the upper bracket is doubled until the
-interior goes negative, then Illinois false position closes the bracket to
-an absolute eps tolerance.
+interior goes negative, then Anderson-Björck false position closes the
+bracket to an absolute eps tolerance.
 
 All three searches assume that their interior never rises as eps grows, so
 that it changes sign at most once.  For ``e_r`` and ``q1g`` this follows from
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, NumericError, _whole
+from .errors import DomainError, NumericError, _float, _whole
 from .rates import e_r_interior, make_canonical, q1g_interior, r_rev_interior
 
 __all__ = [
@@ -84,10 +84,12 @@ def _false_position(
 ) -> float:
     """Root of a sign change on [lo, hi], given f_lo = f(lo) > 0 >= f_hi = f(hi).
 
-    Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168-174): each
-    step is the secant point of the weighted end values, kept at least tol/4
-    inside the bracket, and an end that keeps its place twice in a row has its
-    weight halved, so the bracket closes from both sides.  Once it is narrower
+    Anderson-Björck false position (Anderson & Björck, BIT 13 (1973)
+    253-264): each step is the secant point of the weighted end values, kept
+    at least tol/4 inside the bracket.  When the same end is replaced twice in
+    a row, the weight of the end that kept its place is scaled by
+    m = 1 - f_new/f_replaced (0.5 when m <= 0), so the bracket closes from
+    both sides in fewer steps than halving gives.  Once it is narrower
     than tol, a plain secant step across it is returned if the interior there
     is within tol of zero, so callers can rely on both guarantees; an exact
     zero is returned at once.  A step that cannot split the bracket in floating
@@ -114,10 +116,14 @@ def _false_position(
         if val == 0.0 or narrow and abs(val) <= tol:
             return x
         if val > 0.0:
-            w_hi *= 0.5 if moved == 1 else 1.0
+            if moved == 1:
+                m = 1.0 - val / f_lo
+                w_hi *= m if m > 0.0 else 0.5
             lo, f_lo, w_lo, moved = x, val, val, 1
         else:
-            w_lo *= 0.5 if moved == -1 else 1.0
+            if moved == -1:
+                m = 1.0 - val / f_hi
+                w_lo *= m if m > 0.0 else 0.5
             hi, f_hi, w_hi, moved = x, val, val, -1
 
 
@@ -139,7 +145,7 @@ def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < _float(tol) < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tol}", field="tol")
 
 
@@ -153,7 +159,7 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     if rate_id not in _INTERIORS:
         raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}", field="rate_id")
     _check_tol(tol)
-    return _threshold_impl(rate_id, float(tau), tol)
+    return _threshold_impl(rate_id, _float(tau), tol)
 
 
 def _grid(a: float, b: float, n: int) -> Iterator[float]:
@@ -181,14 +187,15 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     """
     if not _whole(steps) or steps < 1:
         raise DomainError(f"steps must be an integer >= 1, got {steps}", field="steps")
-    if not (-math.inf < tau_min <= tau_max < math.inf and math.isfinite(tau_max - tau_min)):
+    a, b = _float(tau_min), _float(tau_max)
+    if not (-math.inf < a <= b < math.inf and math.isfinite(b - a)):
         raise DomainError(
-            f"need finite tau_max >= tau_min with a finite span, got [{tau_min}, {tau_max}]",
+            f"need finite tau_max >= tau_min with a finite span, got [{a}, {b}]",
             field="tau_min/tau_max",
         )
     _check_tol(tol)
     rows = []
-    for t in _grid(float(tau_min), float(tau_max), int(steps)):
+    for t in _grid(a, b, int(steps)):
         if abs(t - 1.0) < TAU_ONE_SKIP:
             continue
         eps_q = _threshold_impl("q1g", t, tol)
@@ -213,7 +220,7 @@ def curve_to_csv(curve: ThresholdCurve) -> str:
 
 def classify(tau: float, eps: float) -> RegionLabel:
     """Region flags for one (transmission, scaled-noise) point."""
-    ch = make_canonical(float(tau), eps=float(eps))
+    ch = make_canonical(tau, eps=eps)
     e_r_positive = e_r_interior(ch) > 0.0
     q1g_positive = q1g_interior(ch) > 0.0
     r_rev_positive = r_rev_interior(ch) > 0.0

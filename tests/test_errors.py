@@ -66,6 +66,33 @@ def _sim(**changes):
         (lambda: gk.threshold_eps("e_r", 0.5, tol=1e-17), NumericError, "tol"),
         (lambda: gk.sweep(0.2, 0.8, 3, tol=1e-17), NumericError, "tol"),
         (lambda: gk.threshold_eps("k_rev", 0.5), DomainError, "rate_id"),
+        # integers too large for a float once escaped as a bare OverflowError
+        (lambda: gk.make_canonical(10**400, nbar=0.1), DomainError, "tau"),
+        (lambda: gk.make_canonical(-(10**400), eps=0.1), DomainError, "tau"),
+        (lambda: gk.make_canonical(0.5, nbar=10**400), DomainError, "nbar"),
+        (lambda: gk.make_canonical(0.5, eps=10**400), DomainError, "eps"),
+        (lambda: gk.CanonicalChannel(10**400, 0.1), DomainError, "tau"),
+        (lambda: gk.threshold_eps("e_r", 10**400), DomainError, "tau"),
+        (lambda: gk.classify(10**400, 0.1), DomainError, "tau"),
+        (lambda: gk.classify(0.5, 10**400), DomainError, "eps"),
+        (lambda: gk.analytic_moments(10**400, 0.1, 5.0), DomainError, "tau"),
+        (lambda: gk.sweep(-(10**400), 0.5, 3), DomainError, "tau_min/tau_max"),
+        (lambda: gk.sweep(10**400, 10**400, 3), DomainError, "tau_min/tau_max"),
+        (lambda: _sim(mu=10**400), DomainError, "mu"),
+        (lambda: gk.threshold_eps("e_r", 0.5, tol=10**400), DomainError, "tol"),
+        # explicit ids keep the ids of the single "steps" and "rounds" rows above
+        pytest.param(lambda: gk.sweep(0.2, 0.8, 10**400), DomainError, "steps", id="huge-steps"),
+        pytest.param(lambda: _sim(rounds=10**400), DomainError, "rounds", id="huge-rounds"),
+        # these checks name no field, whatever their argument
+        (lambda: gk.entropy_g(10**400), DomainError, None),
+        (lambda: gk.tmsv(10**400), DomainError, None),
+        (lambda: gk.thermal(10**400), DomainError, None),
+        (lambda: gk.two_mode_squeezer(10**400), DomainError, None),
+        (lambda: gk.beam_splitter(10**400), DomainError, None),
+        (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.1), 10**400), DomainError,
+         None),
+        (lambda: gk.convergence_table(gk.make_canonical(0.5, nbar=0.1), [10**400]), DomainError,
+         None),
     ],
 )
 def test_argument_checks_name_their_field(call, error, field):

@@ -1,6 +1,8 @@
 """Closed-form rate bounds and the RateReport aggregate."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,20 @@ def test_r_rev_noiseless_is_half_e_r_exactly(tau):
     c = ch(tau, 0.0)
     assert gk.r_rev(c) == 0.5 * gk.e_r(c)
     assert gk.r_rev(c) == pytest.approx(0.5 * math.log2(1.0 / abs(1.0 - tau)), abs=1e-12)
+
+
+def test_channel_record_is_frozen_slotted_and_checked():
+    c = ch(0.5, 0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.tau = 0.6
+    with pytest.raises(gk.UnsupportedChannelError):
+        dataclasses.replace(c, tau=1.0)
+    assert c == gk.CanonicalChannel(0.5, 0.1) and c != ch(0.5, 0.2)
+    assert hash(c) == hash((0.5, 0.1)) == hash(gk.CanonicalChannel(0.5, 0.1))
+    assert len({c, ch(0.5, 0.1), ch(0.5, 0.2)}) == 2
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and type(back) is gk.CanonicalChannel
+    assert not hasattr(c, "__dict__")
 
 
 def test_mixing_lambda():

@@ -10,6 +10,7 @@ import pytest
 
 import gausskey.thresholds
 from gausskey import (
+    RATE_IDS,
     DomainError,
     ThresholdCurve,
     ThresholdRow,
@@ -96,9 +97,9 @@ def test_thresholds_converge_next_to_unit_transmission(rate_id, tau):
 @pytest.mark.parametrize("tau", [0.3, 0.6, 0.9, 1.5, 1.0 - 1e-12, 1.0 + 1e-12])
 @pytest.mark.parametrize("rate_id", ["e_r", "q1g", "r_rev"])
 def test_threshold_search_evaluation_budget(monkeypatch, rate_id, tau):
-    # Illinois false position needs 10 to 12 interior evaluations per positive
-    # threshold and 15 next to tau = 1, bracketing included, and reuses every
-    # value it has.
+    # Anderson-Bjorck false position needs 9 or 10 interior evaluations per
+    # positive threshold here and 9 to 11 next to tau = 1, bracketing
+    # included, and reuses every value it has.
     seen = []
     interior = gausskey.thresholds._INTERIORS[rate_id]
 
@@ -110,6 +111,32 @@ def test_threshold_search_evaluation_budget(monkeypatch, rate_id, tau):
     threshold_eps(rate_id, tau)
     assert len(seen) <= 16
     assert len(set(seen)) == len(seen), "an eps was evaluated twice"
+
+
+def test_threshold_search_budget_on_the_bench_lattice(monkeypatch):
+    # tau = k/500 over [-1.2, 3], as in the threshold_curves benchmark.  The
+    # Anderson-Bjorck weights give a mean of 9.97 and a maximum of 11 here;
+    # the Illinois halving they replaced gave 11.27 and 13.
+    counts = []
+    for rate_id in RATE_IDS:
+        interior = gausskey.thresholds._INTERIORS[rate_id]
+        seen = []
+
+        def counted(ch, interior=interior, seen=seen):
+            seen.append(ch.eps)
+            return interior(ch)
+
+        monkeypatch.setitem(gausskey.thresholds._INTERIORS, rate_id, counted)
+        for k in range(-600, 1501):
+            tau = k / 500
+            if abs(1.0 - tau) < 0.01:
+                continue
+            seen.clear()
+            if threshold_eps(rate_id, tau, tol=1e-9) > 0.0:
+                counts.append(len(seen))
+    assert len(counts) > 3000
+    assert max(counts) <= 11
+    assert sum(counts) / len(counts) <= 10.2
 
 
 def test_thresholds_land_well_inside_the_tolerance():
