@@ -14,8 +14,10 @@ environment dilation.  The five-mode pure state
     mode 3  environment purifier
     mode 4  Bob's discarded beam-splitter port
 
-is assembled, and the rate is the Gaussian mutual information between matched
-homodyne outcomes on modes 0 and 1 minus the eavesdropper's Holevo
+is assembled as one product state (source, environment, vacuum port) on which
+the channel's dilation couples modes 1 and 2 and a balanced beam splitter
+couples modes 1 and 4.  The rate is the Gaussian mutual information between
+matched homodyne outcomes on modes 0 and 1 minus the eavesdropper's Holevo
 information about Bob's outcome.  Two readings of the discarded port are
 implemented: ``"trusted"`` leaves mode 4 out of the eavesdropper's hands
 (the detection noise is trusted), ``"untrusted"`` grants it to her.  The
@@ -27,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import CanonicalChannel, apply_channel, apply_dilation, dilate
-from .errors import DomainError, NumericError, UnsupportedChannelError, _float
+from .channels import CanonicalChannel, apply_channel, dilate
+from .errors import DomainError, NumericError, UnsupportedChannelError, _float, _shown
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
@@ -88,9 +90,11 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
 
 def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis: str):
     if port_model not in PORT_MODELS:
-        raise DomainError(f"port_model must be one of {PORT_MODELS}, got {port_model!r}")
+        raise DomainError(
+            f"port_model must be one of {PORT_MODELS}, got {_shown(port_model, repr)}"
+        )
     if basis not in ("q", "p"):
-        raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")
+        raise DomainError(f"basis must be 'q' or 'p', got {_shown(basis, repr)}")
     if ch.class_label not in ("C_att", "C_amp"):
         raise UnsupportedChannelError(
             f"protocol engine needs an attenuating or amplifying channel, "
@@ -98,14 +102,21 @@ def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis
         )
     if not MIN_PROTOCOL_MU <= _float(mu) < math.inf:
         raise DomainError(
-            f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, got {mu}"
+            f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, "
+            f"got {_shown(mu)}"
         )
 
 
 def _protocol_state(ch: CanonicalChannel, mu: float) -> CovMat:
-    """Five-mode pure state (Alice, kept port, env out, env purifier, discarded)."""
-    state, _ = apply_dilation(tmsv(mu), dilate(ch), mode=1)
-    state = tensor(state, vacuum(1))
+    """Five-mode pure state (Alice, kept port, env out, env purifier, discarded).
+
+    The vacuum port joins the product before either coupling, so only three
+    five-mode states are validated; its cross blocks stay exact zeros, so
+    the array is the same as when it joins after the dilation.
+    """
+    dilation = dilate(ch)
+    state = tensor(tmsv(mu), dilation.environment, vacuum(1))
+    state = apply_symplectic(state, dilation.coupling, (1, 2))
     return apply_symplectic(state, beam_splitter(0.5), (1, 4))
 
 
@@ -185,7 +196,7 @@ def convergence_table(
     ``protocol`` against the homodyne-protocol interior.
     """
     if engine not in ENGINES:
-        raise DomainError(f"engine must be one of {ENGINES}, got {engine!r}")
+        raise DomainError(f"engine must be one of {ENGINES}, got {_shown(engine, repr)}")
     mu_list = [_float(m) for m in mu_values]
     if not mu_list:
         raise DomainError("mu_values must not be empty")

@@ -59,6 +59,21 @@ def _whole(x) -> bool:
         return False
 
 
+def _shown(x, fmt=str) -> str:
+    """``fmt(x)`` for the message of an error that refuses ``x``.
+
+    An int past Python's int-to-str digit limit (``sys.get_int_max_str_digits``),
+    such as 10**5000, alone or inside a list, cannot be printed; it is
+    described by its size instead, so building the message cannot raise.
+    """
+    try:
+        return fmt(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+        return f"a {type(x).__name__} holding an integer too long to print"
+
+
 def _float(x) -> float:
     """``float(x)``, or +-inf where ``x`` is too large for a float, such as 10**400.
 

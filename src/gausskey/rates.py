@@ -36,7 +36,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError, UnsupportedChannelError, _float
+from .errors import DomainError, UnsupportedChannelError, _float, _shown
 
 __all__ = [
     "CanonicalChannel",
@@ -68,13 +68,14 @@ class CanonicalChannel:
     def __post_init__(self):
         # Unlike math.isfinite, also refuses an integer too large for a float.
         if not abs(self.tau) <= _MAX:
-            raise DomainError(f"transmission must be finite, got {self.tau}", field="tau")
+            raise DomainError(f"transmission must be finite, got {_shown(self.tau)}", field="tau")
         if self.tau == 1.0:
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
         # Also rejects NaN and inf: one chained comparison keeps this cheap.
         if not (0.0 <= self.nbar <= _HALF_MAX and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
             raise DomainError(
-                f"temperature nbar must be finite and >= 0, with finite w and eps, got {self.nbar}",
+                "temperature nbar must be finite and >= 0, with finite w and eps, "
+                f"got {_shown(self.nbar)}",
                 field="nbar",
             )
 

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyStatisticsError, NumericError, _whole
+from .errors import DomainError, EmptyStatisticsError, NumericError, _shown, _whole
 from .rates import make_canonical
 from .symplectic import _variance
 
@@ -102,11 +102,17 @@ class SimConfig:
         make_canonical(self.tau, nbar=self.nbar)
         _variance(self.mu, "source variance mu", field="mu")
         if not _whole(self.rounds) or self.rounds < 1:
-            raise DomainError(f"rounds must be an integer >= 1, got {self.rounds}", field="rounds")
+            raise DomainError(
+                f"rounds must be an integer >= 1, got {_shown(self.rounds)}", field="rounds"
+            )
         if not (_whole(self.seed) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}", field="seed")
+            raise DomainError(
+                f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}", field="seed"
+            )
         if self.mode not in ("memory", "sifted"):
-            raise DomainError(f"mode must be 'memory' or 'sifted', got {self.mode!r}", field="mode")
+            raise DomainError(
+                f"mode must be 'memory' or 'sifted', got {_shown(self.mode, repr)}", field="mode"
+            )
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,7 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     ch = make_canonical(tau, nbar=nbar)
     mu = _variance(mu, "source variance mu")
     if basis not in ("q", "p"):
-        raise DomainError(f"basis must be 'q' or 'p', got {basis!r}")
+        raise DomainError(f"basis must be 'q' or 'p', got {_shown(basis, repr)}")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0
     c = math.sqrt(abs(ch.tau) * (mu * mu - 1.0) / 2.0)
     if basis == "p":
@@ -335,7 +341,7 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
     Var(s_xy) = (V_x V_y + c^2) / (k - 1) off it.
     """
     if kept_rounds < 2:
-        raise DomainError(f"kept_rounds must be >= 2, got {kept_rounds}")
+        raise DomainError(f"kept_rounds must be >= 2, got {_shown(kept_rounds)}")
     va = float(cov[0, 0])
     vb = float(cov[1, 1])
     c = float(cov[0, 1])

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, _float, _whole
+from .errors import (
+    DegenerateMeasurementError,
+    DomainError,
+    InvalidStateError,
+    _float,
+    _shown,
+    _whole,
+)
 from .rates import entropy_g
 
 __all__ = [
@@ -58,7 +65,7 @@ def _mode_count(n_modes) -> int:
     """``int(n_modes)`` if it is a whole number >= 1, else raise."""
     if not (_whole(n_modes) and n_modes >= 1):
         raise DomainError(
-            f"n_modes must be a whole number >= 1, got {n_modes!r}", field="n_modes"
+            f"n_modes must be a whole number >= 1, got {_shown(n_modes, repr)}", field="n_modes"
         )
     return int(n_modes)
 
@@ -83,19 +90,62 @@ def _det2(block: np.ndarray) -> float:
     return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
 
 
+def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
+    """Two-mode spectrum [nu_+, nu_-] in Python floats, or None where a Cholesky pivot is not > 0.
+
+    V = L L^T is factorised entry by entry, and K = L^T Omega L is the real
+    antisymmetric matrix whose eigenvalues are +-i nu_k.  Its self-dual and
+    anti-self-dual parts a = (k01 + k23, k02 - k13, k03 + k12) and
+    b = (k01 - k23, k02 + k13, k03 - k12) give nu_+- = (|a| +- |b|) / 2:
+    |a|^2 - |b|^2 = 4 Pf K = 4 det L > 0, so |a| > |b| in exact arithmetic.
+    No square root of a rounded discriminant is taken, so a pure state's
+    nu_- = 1 is as accurate as the factor L (two-mode invariants: Serafini,
+    Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
+    """
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.tolist()
+    if not a00 > 0.0:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20, l30 = a01 / l00, a02 / l00, a03 / l00
+    d = a11 - l10 * l10
+    if not d > 0.0:
+        return None
+    l11 = math.sqrt(d)
+    l21, l31 = (a12 - l20 * l10) / l11, (a13 - l30 * l10) / l11
+    d = a22 - l20 * l20 - l21 * l21
+    if not d > 0.0:
+        return None
+    l22 = math.sqrt(d)
+    l32 = (a23 - l30 * l20 - l31 * l21) / l22
+    d = a33 - l30 * l30 - l31 * l31 - l32 * l32
+    if not d > 0.0:
+        return None
+    l33 = math.sqrt(d)
+    k01 = l00 * l11 + l20 * l31 - l30 * l21
+    k02 = l20 * l32 - l30 * l22
+    k03 = l20 * l33
+    k12 = l21 * l32 - l31 * l22
+    k13 = l21 * l33
+    k23 = l22 * l33
+    a = math.hypot(k01 + k23, k02 - k13, k03 + k12)
+    b = math.hypot(k01 - k23, k02 + k13, k03 - k12)
+    return [0.5 * (a + b), 0.5 * (a - b)]
+
+
 def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
     """Symplectic spectrum of a raw covariance array, descending, each >= 1.
 
     Raises if the array fails positive definiteness or the uncertainty bound.
-    n = 1 uses the exact closed form sqrt(det V).  For n >= 2 the array is
-    factorised as V = L L^T and the spectrum comes from the Hermitian matrix
-    i L^T Omega L, whose eigenvalues are +-nu_k for any such factor L (Omega
-    is applied as an exact signed column swap).  This is algebraically
-    identical to the two-mode quadratic in Delta and det V but stays
-    accurate near degenerate spectra, where the quadratic's clamped square
-    root turns O(eps * scale^2) rounding in the discriminant into
-    O(sqrt(eps) * scale) error in nu (a tmsv state already trips the
-    uncertainty check at mu ~ 100 that way).
+    n = 1 uses the exact closed form sqrt(det V), and n = 2 the closed form
+    of :func:`_two_mode_eigenvalues`, both in Python floats.  Every other
+    array (more modes, or a two-mode array with a Cholesky pivot that is
+    not > 0) is factorised by numpy as V = L L^T, and the spectrum comes
+    from the Hermitian matrix i L^T Omega L, whose eigenvalues are +-nu_k
+    for any such factor L (Omega is applied as an exact signed column swap).
+    Neither route forms the two-mode quadratic in Delta and det V, whose
+    clamped square root turns O(eps * scale^2) rounding in the discriminant
+    into O(sqrt(eps) * scale) error in nu near degenerate spectra (a tmsv
+    state already trips the uncertainty check at mu ~ 100 that way).
 
     L is the Cholesky factor, and its existence is the positive-definiteness
     test.  Only for an array Cholesky refuses (indefinite, or numerically
@@ -108,12 +158,15 @@ def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
     reject valid states of large variance.
     """
     n = m.shape[0] // 2
+    nu = None
     if n == 1:
         det = _det2(m)
         if m[0, 0] <= 0.0 or det <= 0.0:
             raise InvalidStateError("covariance matrix is not positive definite")
         nu = [math.sqrt(det)]
-    else:
+    elif n == 2:
+        nu = _two_mode_eigenvalues(m)
+    if nu is None:
         try:
             root = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -146,7 +199,7 @@ def _quadratures(modes, n_modes: int) -> np.ndarray:
     modes = list(modes)
     ks = [int(k) for k in modes if _whole(k)]
     if not ks or len(set(ks)) != len(modes) or min(ks) < 0 or max(ks) >= n_modes:
-        raise DomainError(f"invalid mode list {modes} for {n_modes} modes")
+        raise DomainError(f"invalid mode list {_shown(modes)} for {n_modes} modes")
     return np.array([j for k in ks for j in (2 * k, 2 * k + 1)])
 
 
@@ -318,7 +371,7 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     if state.n_modes < 2:
         raise DomainError("homodyne conditioning needs at least two modes")
     if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+        raise DomainError(f"quadrature must be 'q' or 'p', got {_shown(quadrature, repr)}")
     col = _quadratures([measured_mode], state.n_modes)[0 if quadrature == "q" else 1]
     v = float(state.entries[col, col])
     if v <= 1e-12:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, NumericError, _float, _whole
+from .errors import DomainError, NumericError, _float, _shown, _whole
 from .rates import e_r_interior, make_canonical, q1g_interior, r_rev_interior
 
 __all__ = [
@@ -146,7 +146,7 @@ def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
 
 def _check_tol(tol: float) -> None:
     if not 0.0 < _float(tol) < math.inf:
-        raise DomainError(f"tolerance must be finite and > 0, got {tol}", field="tol")
+        raise DomainError(f"tolerance must be finite and > 0, got {_shown(tol)}", field="tol")
 
 
 def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
@@ -157,7 +157,10 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     precision raises ``NumericError``.
     """
     if rate_id not in _INTERIORS:
-        raise DomainError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}", field="rate_id")
+        raise DomainError(
+            f"unknown rate id {_shown(rate_id, repr)}; expected one of {RATE_IDS}",
+            field="rate_id",
+        )
     _check_tol(tol)
     return _threshold_impl(rate_id, _float(tau), tol)
 
@@ -186,7 +189,7 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     them); an entirely skipped grid raises.
     """
     if not _whole(steps) or steps < 1:
-        raise DomainError(f"steps must be an integer >= 1, got {steps}", field="steps")
+        raise DomainError(f"steps must be an integer >= 1, got {_shown(steps)}", field="steps")
     a, b = _float(tau_min), _float(tau_max)
     if not (-math.inf < a <= b < math.inf and math.isfinite(b - a)):
         raise DomainError(

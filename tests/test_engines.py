@@ -13,8 +13,12 @@ from gausskey import (
     NumericError,
     UnsupportedChannelError,
     analytic_moments,
+    apply_dilation,
+    apply_symplectic,
+    beam_splitter,
     ci_finite_mu,
     convergence_table,
+    dilate,
     e_r_interior,
     make_canonical,
     partial_trace,
@@ -24,7 +28,9 @@ from gausskey import (
     r_rev,
     r_rev_interior,
     rci_finite_mu,
+    tensor,
     tmsv,
+    vacuum,
     von_neumann_entropy,
 )
 from gausskey.engines import _eve_modes, _protocol_state
@@ -188,7 +194,7 @@ def test_protocol_rate_refuses_cancelled_conditional_variance():
 
 @pytest.mark.parametrize(
     "engine, calls",
-    [(rci_finite_mu, 3), (ci_finite_mu, 3), (protocol_rate_numeric, 10)],
+    [(rci_finite_mu, 3), (ci_finite_mu, 3), (protocol_rate_numeric, 9)],
 )
 def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls):
     seen = []
@@ -261,6 +267,18 @@ def test_non_finite_source_variance_is_a_domain_error(call, mu):
     with pytest.raises(DomainError, match="finite, got") as info:
         call(mu)
     assert info.value.field is None
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5, 0.9, 1.5, 2.0, 10.0])
+def test_protocol_state_matches_the_dilation_construction(tau):
+    # One five-mode product and two couplings give the same array, bit for
+    # bit, as coupling the four-mode state and appending the vacuum port:
+    # the vacuum's cross blocks are exact zeros in every congruence.
+    ch = make_canonical(tau, nbar=0.1)
+    for mu in (1.5, 10.0, 1e2, 1e3, 1e4):
+        state, _ = apply_dilation(tmsv(mu), dilate(ch), mode=1)
+        state = apply_symplectic(tensor(state, vacuum(1)), beam_splitter(0.5), (1, 4))
+        assert np.array_equal(_protocol_state(ch, mu).entries, state.entries)
 
 
 def test_engines_avoid_the_slow_array_constructors(monkeypatch):

@@ -129,6 +129,43 @@ def test_counts_must_be_finite_whole_numbers(call, field):
     assert info.value.field == field
 
 
+_HUGE = 10**5000  # past Python's int-to-str digit limit: str() of it raises
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: gk.CanonicalChannel(_HUGE, 0.1), "tau"),
+        (lambda: gk.CanonicalChannel(0.5, _HUGE), "nbar"),
+        (lambda: gk.CanonicalChannel(0.5, -_HUGE), "nbar"),
+        (lambda: gk.sweep(0.2, 0.8, _HUGE), "steps"),
+        (lambda: gk.sweep(0.2, 0.8, 3, tol=_HUGE), "tol"),
+        (lambda: gk.threshold_eps("e_r", 0.5, tol=_HUGE), "tol"),
+        (lambda: _sim(rounds=_HUGE), "rounds"),
+        (lambda: _sim(seed=_HUGE), "seed"),
+        (lambda: _sim(mode=_HUGE), "mode"),
+        (lambda: gk.vacuum(_HUGE), "n_modes"),
+        (lambda: gk.symplectic_form(_HUGE), "n_modes"),
+        (lambda: gk.partial_trace(gk.vacuum(2), [_HUGE]), None),
+        (lambda: gk.vacuum(2).mode_block(0, _HUGE), None),
+        (lambda: gk.homodyne_condition(gk.vacuum(2), 0, _HUGE), None),
+        (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.1), _HUGE), None),
+        (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.1), 10.0, _HUGE), None),
+        (lambda: gk.moment_standard_errors(np.eye(2), -_HUGE), None),
+    ],
+    ids=[
+        "tau", "nbar", "nbar_negative", "steps", "sweep_tol", "threshold_tol", "rounds", "seed",
+        "mode", "vacuum", "form", "mode_list", "mode_block", "quadrature", "mu", "port_model",
+        "kept_rounds",
+    ],
+)
+def test_integers_too_long_to_print_are_refused_with_their_field(call, field):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert info.value.field == field
+    assert "integer" in str(info.value)
+
+
 @pytest.mark.parametrize("build", [gk.symplectic_form, gk.vacuum], ids=["form", "vacuum"])
 @pytest.mark.parametrize(
     "n_modes",

@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -125,16 +126,65 @@ def test_cholesky_spectrum_matches_eigh_root_oracle():
     mixed = [random_state(rng, n)[0] for n in (2, 3, 4, 5) for _ in range(50)]
     channels = [gk.make_canonical(0.5, nbar=0.1), gk.make_canonical(2.0, nbar=0.0),
                 gk.make_canonical(5.0, nbar=0.1)]
-    pure = [_protocol_state(ch, mu) for ch in channels for mu in (10.0, 1e2, 1e3, 1e4)]
+    protocol = [_protocol_state(ch, mu) for ch in channels for mu in (10.0, 1e2, 1e3, 1e4)]
+    pure = protocol + [gk.tmsv(mu) for mu in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)]
+    pairs = [gk.partial_trace(s, keep) for s in protocol for keep in combinations(range(5), 2)]
 
     def bound(state):
         return 1e-14 * max(1.0, float(np.abs(state.entries).max())) ** 2
 
-    for state in mixed + pure:
+    for state in mixed + pure + pairs:
         oracle = spectrum_via_eigh_root(state.entries)
         np.testing.assert_allclose(state._nu, oracle, rtol=0, atol=bound(state))
     for state in pure:
         np.testing.assert_allclose(state._nu, 1.0, rtol=0, atol=bound(state))
+
+
+def test_two_mode_validation_calls_no_linalg(monkeypatch):
+    # Non-singular two-mode arrays get their spectrum from the closed form
+    # in Python floats; numpy.linalg is left to larger and singular arrays.
+    rng = np.random.default_rng(43)
+    arrays = [random_state(rng, 2)[0].entries for _ in range(200)]
+    arrays += [gk.tmsv(mu).entries for mu in (1.0, 1.5, 10.0, 1e3, 1e6)]
+    channels = [gk.make_canonical(t, nbar=0.1) for t in (-0.5, 0.0, 0.5, 2.0)]
+    joints = [gk.apply_channel(gk.tmsv(100.0), ch, mode=1) for ch in channels]
+    arrays += [s.entries for s in joints]
+    arrays += [gk.partial_trace(_protocol_state(channels[2], 100.0), (2, 3)).entries]
+    expected = [gk.CovMat(m)._nu for m in arrays]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert [gk.CovMat(m)._nu for m in arrays] == expected
+    for ch in channels:
+        assert math.isfinite(gk.rci_finite_mu(ch, 100.0))
+        assert math.isfinite(gk.ci_finite_mu(ch, 100.0))
+
+
+def test_two_mode_arrays_without_a_cholesky_pivot_take_the_numpy_route(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    with pytest.raises(InvalidStateError, match="not positive definite"):
+        gk.CovMat(np.diag([2.0, 1.0, -1.0, 1.0]))
+    assert calls == [(4, 4)]
+    # sqrt(mu^2 - 1) rounds to mu, so the array is singular and its third
+    # pivot rounds to 0 or below: the eigh band decides.  At mu = 1e8 that band
+    # still refuses the state (ROADMAP open item 1); at 1e9 it admits it.
+    for mu in (1e8, 1e9):
+        calls.clear()
+        try:
+            assert gk.tmsv(mu)._nu == (1.0, 1.0)
+        except InvalidStateError:
+            assert mu == 1e8
+        assert calls == [(4, 4)]
 
 
 def test_spectrum_supports_four_and_five_modes():
