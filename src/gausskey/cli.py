@@ -18,7 +18,6 @@ only, never the computation and never the fixed CSV schema).
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -67,9 +66,7 @@ def _jsonable(value, digits: int):
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float(f"{value:.{digits}g}")
-        return value
+        return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _jsonable(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -314,8 +314,9 @@ def tensor(*states: CovMat) -> CovMat:
 
 
 def partial_trace(state: CovMat, keep) -> CovMat:
-    """Reduced state on the modes in ``keep`` (returned in ascending order)."""
-    idx = _quadratures(sorted(set(keep)), state.n_modes)
+    """Reduced state on the distinct modes in ``keep`` (returned in ascending order)."""
+    idx = _quadratures(keep, state.n_modes)
+    idx.sort()
     return CovMat(state.entries[idx][:, idx])
 
 

@@ -3,9 +3,17 @@
 For each rate bound the threshold is the smallest scaled noise eps at which
 the rate reaches zero at fixed transmission.  The search runs on the signed
 interiors, which decrease from a positive value at eps = 0 (when the rate is
-positive at all) through zero: the upper bracket is doubled until the
-interior goes negative, then Anderson-Björck false position closes the
-bracket to an absolute eps tolerance.
+positive at all) through zero by eps = 1, so the bracket is fixed at
+[0, 1] and Anderson-Björck false position closes it to an absolute eps
+tolerance: 9 to 11 interior evaluations per positive threshold (mean 9.97 on
+tau = k/500 over [-1.2, 3]).
+
+``sweep`` seeds each row by continuation: the secant through the previous
+two roots of the same rate predicts the next one, and the search starts on
+a narrow bracket around it, falling back to the part of [0, 1] that its end
+values leave.  On that lattice this takes 10.3 interior evaluations per row
+(three rates) instead of 16.9 when every row is solved from [0, 1], and the
+rows stay within 4e-15 of ``threshold_eps``.
 
 All three searches assume that their interior never rises as eps grows, so
 that it changes sign at most once.  For ``e_r`` and ``q1g`` this follows from
@@ -44,8 +52,6 @@ RATE_IDS = tuple(_INTERIORS)
 # Grid points this close to tau = 1 are skipped by sweep(): the unsupported
 # additive-noise family sits there and the interiors diverge on approach.
 TAU_ONE_SKIP = 1e-6
-
-_BRACKET_DOUBLINGS = 200
 
 
 class ThresholdRow(NamedTuple):
@@ -127,21 +133,41 @@ def _false_position(
             hi, f_hi, w_hi, moved = x, val, val, -1
 
 
-def _threshold_impl(rate_id: str, tau: float, tol: float) -> float:
+def _threshold_impl(
+    rate_id: str, tau: float, tol: float, seed: tuple[float, float] | None = None
+) -> float:
+    """Threshold on the fixed bracket [0, 1], or first on ``seed`` = (lo, hi) inside it.
+
+    Every interior is <= 0 at eps = 1: ``tests/test_thresholds.py::
+    test_interiors_are_not_positive_at_unit_eps`` checks about 14,000 taus.
+    For ``e_r``, thermal loss included, it holds exactly: at eps = 1,
+    nbar = 1/(2|1 - tau|) and g(n) - log2(n) >= log2(e), so the interior
+    log2(2 nbar) - g(nbar) is at most -log2(e/2) = -0.4427.  A seed is
+    searched only if the interior changes sign across it; otherwise the end
+    value found narrows [0, 1] to [0, lo] or [hi, 1], which a single sign
+    change makes safe.
+    """
     interior = _INTERIORS[rate_id]
 
     def f(eps: float) -> float:
         return interior(make_canonical(tau, eps=eps))
 
-    lo, f_lo, hi = 0.0, f(0.0), 1.0
-    if f_lo <= 0.0:
-        return 0.0
-    for _ in range(_BRACKET_DOUBLINGS):
-        f_hi = f(hi)
-        if f_hi <= 0.0:
-            return _false_position(f, lo, hi, f_lo, f_hi, tol)
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-    raise NumericError(f"could not bracket the {rate_id} threshold at tau = {tau}")
+    lo, f_lo, hi, f_hi = 0.0, None, 1.0, None
+    for x in seed or ():
+        f_x = f(x)
+        if f_x <= 0.0:
+            hi, f_hi = x, f_x
+            break
+        lo, f_lo = x, f_x
+    if f_lo is None:
+        f_lo = f(0.0)
+        if f_lo <= 0.0:
+            return 0.0
+    if f_hi is None:
+        f_hi = f(1.0)
+        if f_hi > 0.0:
+            raise NumericError(f"the {rate_id} interior is positive at eps = 1 (tau = {tau})")
+    return _false_position(f, lo, hi, f_lo, f_hi, tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -156,7 +182,7 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     returns satisfy |interior(eps)| <= tol; a tol too fine for float
     precision raises ``NumericError``.
     """
-    if rate_id not in _INTERIORS:
+    if not (isinstance(rate_id, str) and rate_id in _INTERIORS):
         raise DomainError(
             f"unknown rate id {_shown(rate_id, repr)}; expected one of {RATE_IDS}",
             field="rate_id",
@@ -198,13 +224,31 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
         )
     _check_tol(tol)
     rows = []
+    # Continuation: each rate keeps its last two positive roots, r0 then r1,
+    # from the grid points just before t; on an even grid the secant in tau
+    # predicts 2 r1 - r0 at t.  Histories restart at a zero threshold and on
+    # crossing tau = 1, where the skipped points sit.
+    histories: dict[str, list[float]] = {"q1g": [], "e_r": [], "r_rev": []}  # row order
+    above_one = None
     for t in _grid(a, b, int(steps)):
         if abs(t - 1.0) < TAU_ONE_SKIP:
             continue
-        eps_q = _threshold_impl("q1g", t, tol)
-        eps_r = _threshold_impl("e_r", t, tol)
-        eps_rev = _threshold_impl("r_rev", t, tol)
-        rows.append(ThresholdRow(tau=t, eps_q=eps_q, eps_r=eps_r, eps_rev=eps_rev))
+        if (t > 1.0) != above_one:
+            above_one = t > 1.0
+            for h in histories.values():
+                h.clear()
+        roots = []
+        for rate_id, h in histories.items():
+            seed = None
+            if len(h) == 2:
+                step = h[1] - h[0]
+                p, half = h[1] + step, max(0.05 * abs(step), 8.0 * tol)
+                if 0.0 < p - half and p + half < 1.0:
+                    seed = (p - half, p + half)
+            root = _threshold_impl(rate_id, t, tol, seed)
+            h[:] = h[-1:] + [root] if root > 0.0 else []
+            roots.append(root)
+        rows.append(ThresholdRow(t, *roots))
     if not rows:
         raise DomainError(
             "threshold grid is empty: every point sits at tau = 1", field="tau_min/tau_max"

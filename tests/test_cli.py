@@ -261,6 +261,18 @@ def test_thresholds_writes_csv_and_svg(tmp_path):
     assert svg.count("<polyline") >= 3
 
 
+def test_thresholds_svg_of_a_single_tau(tmp_path):
+    # One row has no tau span; the plot widens it to tau +- 0.5.
+    svg_path = tmp_path / "curve.svg"
+    result = _run(["thresholds", "--tau-min", "0.5", "--tau-max", "0.5", "--steps", "1",
+                   "--out", str(tmp_path / "curve.csv"), "--svg", str(svg_path)])
+    assert result.exit_code == 0
+    assert "wrote 1 rows to " in result.output
+    svg = svg_path.read_text()
+    assert svg.startswith("<svg")
+    assert "<polyline" not in svg
+
+
 def test_thresholds_flag_validation(tmp_path):
     out = str(tmp_path / "x.csv")
     for args, named in [
@@ -326,6 +338,23 @@ def test_classify_region_text():
     assert "antidegradable; K_rev ≥ R_rev > 0" in window.output
     dead = _run(["classify", "--tau", "-0.5", "--eps", "0"])
     assert "all rate bounds zero" in dead.output
+
+
+def test_classify_region_text_above_half_transmission():
+    result = _run(["classify", "--tau", "0.8", "--eps", "0.1"])
+    assert result.exit_code == 0
+    assert "region: not antidegradable; E_R > 0; q1g > 0; R_rev > 0" in result.output
+    window = _run(["classify", "--tau", "0.8", "--eps", "0.57"])
+    assert "region: not antidegradable; R_rev > 0" in window.output
+
+
+def test_json_keeps_non_finite_floats():
+    from gausskey.cli import _jsonable
+
+    out = _jsonable({"a": [math.inf, -math.inf], "b": math.nan, "c": 0.1234567}, 3)
+    assert out["a"] == [math.inf, -math.inf]
+    assert math.isnan(out["b"])
+    assert out["c"] == 0.123
 
 
 def test_classify_json_flags():

@@ -244,6 +244,7 @@ def test_partial_trace_product_state():
     joint = gk.tensor(a, b)
     np.testing.assert_array_equal(gk.partial_trace(joint, (0,)).entries, a.entries)
     np.testing.assert_array_equal(gk.partial_trace(joint, (1, 2)).entries, b.entries)
+    np.testing.assert_array_equal(gk.partial_trace(joint, [2, 1]).entries, b.entries)
     with pytest.raises(DomainError):
         gk.partial_trace(joint, ())
     with pytest.raises(DomainError):
@@ -258,6 +259,8 @@ def test_apply_symplectic_identity_and_validation():
         gk.apply_symplectic(state, 2.0 * np.eye(4), (0, 1))
     with pytest.raises(DomainError):
         gk.apply_symplectic(state, np.eye(4), (0, 0))
+    with pytest.raises(DomainError, match="must be 2 x 2 for 1 modes, got"):
+        gk.apply_symplectic(state, np.eye(4), (1,))
 
 
 def test_symplectic_check_scales_with_the_matrix():
@@ -392,6 +395,8 @@ def test_tensor_entropy_additive():
     assert gk.von_neumann_entropy(joint) == pytest.approx(
         gk.von_neumann_entropy(a) + gk.von_neumann_entropy(b), abs=1e-12
     )
+    with pytest.raises(DomainError, match="at least one state"):
+        gk.tensor()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.5])
@@ -420,6 +425,8 @@ _CH = gk.make_canonical(0.5, nbar=0.1)
         lambda s: s.mode_block(0.5, 0),
         lambda s: gk.partial_trace(s, (0.5,)),
         lambda s: gk.partial_trace(s, (-1, 0)),
+        lambda s: gk.partial_trace(s, [[0]]),
+        lambda s: gk.partial_trace(s, (1, 1)),
         lambda s: gk.apply_symplectic(s, _BS, (0, 3)),
         lambda s: gk.apply_symplectic(s, _BS, (1.5, 0)),
         lambda s: gk.apply_symplectic(s, _BS, (2, 2)),
@@ -431,7 +438,8 @@ _CH = gk.make_canonical(0.5, nbar=0.1)
     ],
     ids=[
         "block_negative", "block_past_end", "block_column_past_end", "block_fraction",
-        "trace_fraction", "trace_negative", "symplectic_past_end", "symplectic_fraction",
+        "trace_fraction", "trace_negative", "trace_unhashable", "trace_repeated",
+        "symplectic_past_end", "symplectic_fraction",
         "symplectic_repeated", "homodyne_negative", "homodyne_fraction",
         "channel_past_end", "channel_negative", "channel_nan",
     ],

@@ -12,8 +12,10 @@ import gausskey.thresholds
 from gausskey import (
     RATE_IDS,
     DomainError,
+    NumericError,
     ThresholdCurve,
     ThresholdRow,
+    UnsupportedChannelError,
     classify,
     curve_to_csv,
     e_r_interior,
@@ -139,6 +141,116 @@ def test_threshold_search_budget_on_the_bench_lattice(monkeypatch):
     assert sum(counts) / len(counts) <= 10.2
 
 
+def _count_interior_calls(monkeypatch) -> list:
+    """Record the eps of every interior evaluation the threshold searches make."""
+    seen = []
+    for rate_id in RATE_IDS:
+        interior = gausskey.thresholds._INTERIORS[rate_id]
+
+        def counted(ch, interior=interior):
+            seen.append(ch.eps)
+            return interior(ch)
+
+        monkeypatch.setitem(gausskey.thresholds._INTERIORS, rate_id, counted)
+    return seen
+
+
+def test_interiors_are_not_positive_at_unit_eps():
+    # The search brackets every threshold by [0, 1] without doubling, so each
+    # interior must be <= 0 at eps = 1: over |tau| from 1e-15 to 1e308 and
+    # 1 - tau from +-1e-16 to +-1.  For e_r it is at most -log2(e/2) at any tau.
+    mags = np.geomspace(1e-15, 1e308, 4000).tolist()
+    near = np.geomspace(1e-16, 1.0, 3000).tolist()
+    taus = [s * m for m in mags for s in (1, -1)] + [1 + s * d for d in near for s in (1, -1)]
+    assert len(taus) == 14_000
+    at_one = [t for t in taus if t == 1.0]
+    assert 0 < len(at_one) < 20
+    for tau in at_one:
+        with pytest.raises(UnsupportedChannelError):
+            make_canonical(tau, eps=1.0)
+    e_r_bound = -math.log2(math.e / 2)
+    for tau in taus:
+        if tau == 1.0:
+            continue
+        ch = make_canonical(tau, eps=1.0)
+        assert e_r_interior(ch) <= e_r_bound + 1e-12, tau
+        assert q1g_interior(ch) <= 0.0, tau
+        assert r_rev_interior(ch) <= 0.0, tau
+
+
+def test_a_positive_interior_at_unit_eps_is_refused(monkeypatch):
+    monkeypatch.setitem(gausskey.thresholds._INTERIORS, "e_r", lambda ch: 1.0 - ch.eps / 2)
+    with pytest.raises(NumericError, match="positive at eps = 1"):
+        threshold_eps("e_r", 0.5)
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.6, 1.5])
+@pytest.mark.parametrize("rate_id", RATE_IDS)
+def test_seeded_search_falls_back_to_the_cold_bracket(monkeypatch, rate_id, tau):
+    # A seed that straddles the root is searched alone; one below or above it
+    # narrows [0, 1] to [hi, 1] or [0, lo] with the value already computed.
+    impl = gausskey.thresholds._threshold_impl
+    tol = 1e-9
+    cold = threshold_eps(rate_id, tau, tol=tol)
+    seen = _count_interior_calls(monkeypatch)
+    if cold == 0.0:
+        assert impl(rate_id, tau, tol, (0.1, 0.2)) == 0.0
+        assert seen == [0.1, 0.0]
+        return
+    impl(rate_id, tau, tol)
+    cold_calls = len(seen)
+    for seed in [
+        (cold - 1e-3, cold + 1e-3),
+        (cold / 4, cold / 2),
+        (cold + (1 - cold) / 4, cold + (1 - cold) / 2),
+    ]:
+        seen.clear()
+        eps = impl(rate_id, tau, tol, seed)
+        assert abs(eps - cold) <= tol
+        assert len(set(seen)) == len(seen), "an eps was evaluated twice"
+        assert (seed[1] in seen) == (seed[0] < cold), seed
+        assert (0.0 in seen) == (seed[0] > cold), seed
+        assert (1.0 in seen) == (seed[1] < cold), seed
+        if seed[0] < cold < seed[1]:
+            assert len(seen) < cold_calls
+
+
+@pytest.mark.parametrize(
+    "tau_min, tau_max, steps, tol",
+    [
+        (-1.2, 3.0, 2101, 1e-9),  # tau = k/500: zero thresholds below 0 and above 2
+        (-3.0, 3.0, 21, 1e-9),  # k/500 lattice with spacing m = 150; crosses 1 between points
+        (0.0, 1.598, 800, 1e-9),  # spacing m = 1; skips the point at tau = 1
+        (0.5, 1.5, 101, 1e-9),
+        (0.9, 1.1, 20, 1e-9),
+        (0.2, 0.8, 50, 1e-3),
+        (0.2, 0.8, 50, 1e-12),
+        (0.6, 0.6, 5, 1e-9),  # one tau repeated: the secant predicts no change
+        (0.3, 0.6, 2, 1e-9),
+        (0.5, 0.5, 1, 1e-9),
+    ],
+)
+def test_sweep_rows_match_threshold_eps(tau_min, tau_max, steps, tol):
+    curve = sweep(tau_min, tau_max, steps, tol=tol)
+    for row in curve.rows:
+        for rate_id, eps in zip(("q1g", "e_r", "r_rev"), row[1:]):
+            cold = threshold_eps(rate_id, row.tau, tol=tol)
+            assert (eps > 0.0) == (cold > 0.0), (rate_id, row.tau)
+            assert abs(eps - cold) <= tol, (rate_id, row.tau)
+            if eps > 0.0:
+                assert abs(_INTERIORS[rate_id](make_canonical(row.tau, eps=eps))) <= tol
+
+
+def test_sweep_continuation_budget_on_the_bench_lattice(monkeypatch):
+    # tau = k/500 over [-1.2, 3].  Seeding each row from the previous two roots
+    # of the same rate gives 10.3 interior evaluations per row (three rates);
+    # solving every row from [0, 1], as threshold_eps does, takes 16.9.
+    seen = _count_interior_calls(monkeypatch)
+    curve = sweep(-1.2, 3.0, 2101)
+    assert len(curve.rows) == 2100
+    assert len(seen) / len(curve.rows) <= 10.6
+
+
 def test_thresholds_land_well_inside_the_tolerance():
     # The search ends with a secant step across a bracket narrower than tol,
     # so roots sit about 1e-15 from the exact ones, not merely within tol.
@@ -173,6 +285,10 @@ def test_r_rev_interior_non_increasing_in_eps():
 def test_threshold_argument_validation():
     with pytest.raises(DomainError, match="unknown rate id"):
         threshold_eps("holevo", 0.5)
+    for rate_id in (["e_r"], {}, None):
+        with pytest.raises(DomainError, match="unknown rate id") as exc:
+            threshold_eps(rate_id, 0.5)
+        assert exc.value.field == "rate_id"
     with pytest.raises(DomainError, match="tolerance"):
         threshold_eps("e_r", 0.5, tol=0.0)
 
