@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .channels import CanonicalChannel, apply_channel, dilate
-from .errors import DomainError, NumericError, UnsupportedChannelError, _float, _shown
+from .errors import DomainError, NumericError, UnsupportedChannelError, _choice, _float, _shown
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
@@ -89,12 +89,8 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
 
 
 def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis: str):
-    if port_model not in PORT_MODELS:
-        raise DomainError(
-            f"port_model must be one of {PORT_MODELS}, got {_shown(port_model, repr)}"
-        )
-    if basis not in ("q", "p"):
-        raise DomainError(f"basis must be 'q' or 'p', got {_shown(basis, repr)}")
+    _choice(port_model, PORT_MODELS, "port_model")
+    _choice(basis, ("q", "p"), "basis")
     if ch.class_label not in ("C_att", "C_amp"):
         raise UnsupportedChannelError(
             f"protocol engine needs an attenuating or amplifying channel, "
@@ -195,11 +191,14 @@ def convergence_table(
     ``ci`` against the single-use coherent-information interior, and
     ``protocol`` against the homodyne-protocol interior.
     """
-    if engine not in ENGINES:
-        raise DomainError(f"engine must be one of {ENGINES}, got {_shown(engine, repr)}")
-    mu_list = [_float(m) for m in mu_values]
+    _choice(engine, ENGINES, "engine")
+    _choice(port_model, PORT_MODELS, "port_model")
+    try:
+        mu_list = [_float(m) for m in mu_values]
+    except TypeError:  # not iterable
+        mu_list = []
     if not mu_list:
-        raise DomainError("mu_values must not be empty")
+        raise DomainError(f"mu_values must not be empty, got {_shown(mu_values)}")
     if engine == "rci":
         target = e_r_interior(ch)
         values = [rci_finite_mu(ch, m) for m in mu_list]

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one argument rule.
+
+A real is anything ``float()`` accepts, numpy scalars included; ``_float``
+turns anything else into NaN, which the range check after it refuses.  A
+count is a whole number that fits a float (``_count``), and a choice is a
+``str`` among its options (``_choice``).  Each refusal is a ``DomainError``.
 
 ``GaussKeyError.field`` names the argument at fault ("nbar"), or two names
-joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig`` or threshold
-argument fails its check; every other error, such as a state an engine built
-itself, has ``field`` None.
+joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig``, threshold
+or ``n_modes`` argument fails its check.  Every other error has ``field``
+None: mode lists, variances outside ``SimConfig``, the engine and homodyne
+choices, ``kept_rounds``, ``entropy_g``, and states an engine built itself.
 """
 
 import math
@@ -75,12 +81,23 @@ def _shown(x, fmt=str) -> str:
 
 
 def _float(x) -> float:
-    """``float(x)``, or +-inf where ``x`` is too large for a float, such as 10**400.
-
-    The finiteness check that follows each conversion then refuses it with a
-    ``DomainError`` naming its field, instead of a bare ``OverflowError``.
-    """
+    """``float(x)``, never raising: +-inf past float range (10**400), NaN for a non-real (None)."""
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _count(x, low: int, what: str, field: str | None = None) -> int:
+    """``int(x)`` if ``x`` is a whole number >= ``low`` that fits a float, else raise."""
+    if not (_whole(x) and x >= low):
+        raise DomainError(f"{what} must be a whole number >= {low}, got {_shown(x, repr)}", field)
+    return int(x)
+
+
+def _choice(x, options: tuple, what: str, field: str | None = None) -> None:
+    """Raise unless ``x`` is a ``str`` in ``options``."""
+    if not (isinstance(x, str) and x in options):
+        raise DomainError(f"unknown {what} {_shown(x, repr)}; expected one of {options}", field)

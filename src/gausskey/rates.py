@@ -66,18 +66,26 @@ class CanonicalChannel:
     nbar: float
 
     def __post_init__(self):
-        # Unlike math.isfinite, also refuses an integer too large for a float.
-        if not abs(self.tau) <= _MAX:
-            raise DomainError(f"transmission must be finite, got {_shown(self.tau)}", field="tau")
+        # One chain of comparisons keeps this cheap: it is false for NaN, inf
+        # and ints too large for a float, and raises for a non-real.
+        try:
+            if (-_MAX <= self.tau <= _MAX and self.tau != 1.0 and 0.0 <= self.nbar <= _HALF_MAX
+                    and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
+                return
+        except (TypeError, ValueError):  # complex, str, None, an array
+            pass
+        try:
+            finite = -_MAX <= self.tau <= _MAX
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise DomainError(f"transmission must be a finite real, got {_shown(self.tau)}", "tau")
         if self.tau == 1.0:
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        # Also rejects NaN and inf: one chained comparison keeps this cheap.
-        if not (0.0 <= self.nbar <= _HALF_MAX and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
-            raise DomainError(
-                "temperature nbar must be finite and >= 0, with finite w and eps, "
-                f"got {_shown(self.nbar)}",
-                field="nbar",
-            )
+        raise DomainError(
+            "temperature nbar must be a finite real >= 0, with finite w and eps, "
+            f"got {_shown(self.nbar)}", "nbar"
+        )
 
     @property
     def class_label(self) -> str:
@@ -115,8 +123,8 @@ def make_canonical(
             nbar = float(nbar)
         else:
             eps = float(eps)
-    except OverflowError:  # an integer too large for a float, refused below as +-inf
-        tau, nbar, eps = (v if v is None else _float(v) for v in (tau, nbar, eps))
+    except (OverflowError, TypeError, ValueError):  # refused below as +-inf or NaN
+        tau, nbar, eps = _float(tau), *(v if v is None else _float(v) for v in (nbar, eps))
     if eps is not None:
         if tau == 1.0:  # guards the division below
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
@@ -140,7 +148,7 @@ def entropy_g(x: float) -> float:
     """
     try:
         x = float(x)
-    except OverflowError:  # an integer too large for a float, refused below as +-inf
+    except (OverflowError, TypeError, ValueError):  # refused below as +-inf or NaN
         x = _float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"entropy_g requires finite x >= 0, got {x}")

@@ -46,8 +46,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyStatisticsError, NumericError, _shown, _whole
-from .rates import make_canonical
+from .errors import DomainError, EmptyStatisticsError, NumericError
+from .errors import _choice, _count, _float, _shown, _whole
+from .rates import CanonicalChannel
 from .symplectic import _variance
 
 __all__ = [
@@ -99,20 +100,14 @@ class SimConfig:
     mode: str = "memory"
 
     def __post_init__(self):
-        make_canonical(self.tau, nbar=self.nbar)
+        CanonicalChannel(_float(self.tau), _float(self.nbar))
         _variance(self.mu, "source variance mu", field="mu")
-        if not _whole(self.rounds) or self.rounds < 1:
-            raise DomainError(
-                f"rounds must be an integer >= 1, got {_shown(self.rounds)}", field="rounds"
-            )
+        _count(self.rounds, 1, "rounds", field="rounds")
         if not (_whole(self.seed) and 0 <= self.seed < 2**64):
             raise DomainError(
                 f"seed must be a 64-bit unsigned integer, got {_shown(self.seed)}", field="seed"
             )
-        if self.mode not in ("memory", "sifted"):
-            raise DomainError(
-                f"mode must be 'memory' or 'sifted', got {_shown(self.mode, repr)}", field="mode"
-            )
+        _choice(self.mode, ("memory", "sifted"), "mode", field="mode")
 
 
 @dataclass(frozen=True)
@@ -150,10 +145,9 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     negative for tau > 0 and positive for tau < 0, because phase conjugation
     flips the sign of the p correlation.
     """
-    ch = make_canonical(tau, nbar=nbar)
+    ch = CanonicalChannel(_float(tau), _float(nbar))
     mu = _variance(mu, "source variance mu")
-    if basis not in ("q", "p"):
-        raise DomainError(f"basis must be 'q' or 'p', got {_shown(basis, repr)}")
+    _choice(basis, ("q", "p"), "basis")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0
     c = math.sqrt(abs(ch.tau) * (mu * mu - 1.0) / 2.0)
     if basis == "p":
@@ -340,12 +334,10 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
     Var(s_xx) = 2 V_x^2 / (k - 1) on the diagonal and
     Var(s_xy) = (V_x V_y + c^2) / (k - 1) off it.
     """
-    if kept_rounds < 2:
-        raise DomainError(f"kept_rounds must be >= 2, got {_shown(kept_rounds)}")
+    k = _count(kept_rounds, 2, "kept_rounds") - 1.0
     va = float(cov[0, 0])
     vb = float(cov[1, 1])
     c = float(cov[0, 1])
-    k = kept_rounds - 1.0
     off = math.sqrt((va * vb + c * c) / k)
     return np.array(
         [

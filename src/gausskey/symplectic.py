@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateMeasurementError,
-    DomainError,
-    InvalidStateError,
-    _float,
-    _shown,
-    _whole,
-)
+from .errors import DegenerateMeasurementError, DomainError, InvalidStateError
+from .errors import _choice, _count, _float, _shown, _whole
 from .rates import entropy_g
 
 __all__ = [
@@ -61,15 +55,6 @@ PHYSICALITY_ATOL = 1e-9
 SYMPLECTIC_ATOL = 1e-10
 
 
-def _mode_count(n_modes) -> int:
-    """``int(n_modes)`` if it is a whole number >= 1, else raise."""
-    if not (_whole(n_modes) and n_modes >= 1):
-        raise DomainError(
-            f"n_modes must be a whole number >= 1, got {_shown(n_modes, repr)}", field="n_modes"
-        )
-    return int(n_modes)
-
-
 def _times_omega(x: np.ndarray) -> np.ndarray:
     """``x @ Omega`` as a signed swap of each column pair (exact: entries only move and flip sign).
 
@@ -83,7 +68,7 @@ def _times_omega(x: np.ndarray) -> np.ndarray:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form for the (q1, p1, ..., qn, pn) ordering (a new array)."""
-    return _times_omega(np.eye(2 * _mode_count(n_modes)))
+    return _times_omega(np.eye(2 * _count(n_modes, 1, "n_modes", field="n_modes")))
 
 
 def _det2(block: np.ndarray) -> float:
@@ -196,9 +181,11 @@ def _variance(v: float, what: str, field: str | None = None) -> float:
 
 def _quadratures(modes, n_modes: int) -> np.ndarray:
     """Quadrature indices (2k, 2k + 1) of ``modes``: distinct whole numbers in range(n_modes)."""
-    modes = list(modes)
-    ks = [int(k) for k in modes if _whole(k)]
-    if not ks or len(set(ks)) != len(modes) or min(ks) < 0 or max(ks) >= n_modes:
+    try:
+        ks = [int(k) if _whole(k) else -1 for k in modes]
+    except TypeError:  # not iterable
+        ks = []
+    if not ks or len(set(ks)) != len(ks) or min(ks) < 0 or max(ks) >= n_modes:
         raise DomainError(f"invalid mode list {_shown(modes)} for {n_modes} modes")
     return np.array([j for k in ks for j in (2 * k, 2 * k + 1)])
 
@@ -277,7 +264,7 @@ def von_neumann_entropy(state: CovMat) -> float:
 
 def vacuum(n_modes: int = 1) -> CovMat:
     """n-mode vacuum state (identity covariance)."""
-    return CovMat(np.eye(2 * _mode_count(n_modes)))
+    return CovMat(np.eye(2 * _count(n_modes, 1, "n_modes", field="n_modes")))
 
 
 def thermal(w: float) -> CovMat:
@@ -371,8 +358,7 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     """
     if state.n_modes < 2:
         raise DomainError("homodyne conditioning needs at least two modes")
-    if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {_shown(quadrature, repr)}")
+    _choice(quadrature, ("q", "p"), "quadrature")
     col = _quadratures([measured_mode], state.n_modes)[0 if quadrature == "q" else 1]
     v = float(state.entries[col, col])
     if v <= 1e-12:

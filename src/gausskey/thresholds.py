@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DomainError, NumericError, _float, _shown, _whole
+from .errors import DomainError, NumericError, _choice, _count, _float, _shown
 from .rates import e_r_interior, make_canonical, q1g_interior, r_rev_interior
 
 __all__ = [
@@ -182,11 +182,7 @@ def threshold_eps(rate_id: str, tau: float, tol: float = 1e-9) -> float:
     returns satisfy |interior(eps)| <= tol; a tol too fine for float
     precision raises ``NumericError``.
     """
-    if not (isinstance(rate_id, str) and rate_id in _INTERIORS):
-        raise DomainError(
-            f"unknown rate id {_shown(rate_id, repr)}; expected one of {RATE_IDS}",
-            field="rate_id",
-        )
+    _choice(rate_id, RATE_IDS, "rate id", field="rate_id")
     _check_tol(tol)
     return _threshold_impl(rate_id, _float(tau), tol)
 
@@ -214,8 +210,7 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     Grid points within 1e-6 of tau = 1 are dropped (no row is emitted for
     them); an entirely skipped grid raises.
     """
-    if not _whole(steps) or steps < 1:
-        raise DomainError(f"steps must be an integer >= 1, got {_shown(steps)}", field="steps")
+    steps = _count(steps, 1, "steps", field="steps")
     a, b = _float(tau_min), _float(tau_max)
     if not (-math.inf < a <= b < math.inf and math.isfinite(b - a)):
         raise DomainError(
@@ -230,7 +225,7 @@ def sweep(tau_min: float, tau_max: float, steps: int, tol: float = 1e-9) -> Thre
     # crossing tau = 1, where the skipped points sit.
     histories: dict[str, list[float]] = {"q1g": [], "e_r": [], "r_rev": []}  # row order
     above_one = None
-    for t in _grid(a, b, int(steps)):
+    for t in _grid(a, b, steps):
         if abs(t - 1.0) < TAU_ONE_SKIP:
             continue
         if (t > 1.0) != above_one:
@@ -267,7 +262,7 @@ def curve_to_csv(curve: ThresholdCurve) -> str:
 
 def classify(tau: float, eps: float) -> RegionLabel:
     """Region flags for one (transmission, scaled-noise) point."""
-    ch = make_canonical(tau, eps=eps)
+    ch = make_canonical(tau, eps=_float(eps))  # eps=None would mean "not given"
     e_r_positive = e_r_interior(ch) > 0.0
     q1g_positive = q1g_interior(ch) > 0.0
     r_rev_positive = r_rev_interior(ch) > 0.0

@@ -20,6 +20,7 @@ from gausskey import (
     convergence_table,
     dilate,
     e_r_interior,
+    homodyne_condition,
     make_canonical,
     partial_trace,
     protocol_holevo_information,
@@ -309,3 +310,36 @@ def test_engines_validate_every_state_without_eigh(monkeypatch):
             assert math.isfinite(rci_finite_mu(ch, mu))
             assert math.isfinite(ci_finite_mu(ch, mu))
             assert math.isfinite(protocol_rate_numeric(ch, mu))
+
+
+def _direct_rate(ch, mu):
+    """Direct-reconciliation rate I(x_A : y) - chi(E : x_A) on the trusted protocol state.
+
+    Alice's q outcome is the key; the eavesdropper holds the environment
+    modes (2, 3), and S(E | x_A) comes from homodyning mode 0.
+    """
+    state = _protocol_state(ch, mu)
+    va, vb, c = state.entries[0, 0], state.entries[2, 2], state.entries[0, 2]
+    mi = 0.5 * math.log2(vb / (vb - c * c / va))
+    s_e = von_neumann_entropy(partial_trace(state, (2, 3)))
+    given_a = homodyne_condition(state, 0, "q")
+    return mi - (s_e - von_neumann_entropy(partial_trace(given_a, (1, 2))))
+
+
+def test_direct_rate_vanishes_where_reverse_rate_survives():
+    # The paper's headline contrast: no direct key on antidegradable channels
+    # (tau <= 1/2), while the reverse protocol still gives one at low noise.
+    reverse_only = 0
+    for k in range(1, 51):
+        for nbar in (0.0, 0.01, 0.1, 1.0):
+            ch = make_canonical(k / 100, nbar=nbar)
+            for mu in (10.0, 1e2, 1e3, 1e4):
+                direct = _direct_rate(ch, mu)
+                assert direct <= 0.0, (ch, mu, direct)
+                reverse_only += protocol_rate_numeric(ch, mu) > 0.0
+    assert reverse_only > 0
+
+
+@pytest.mark.parametrize("tau, low", [(0.7, 0.16), (0.9, 1.43)])
+def test_direct_rate_is_positive_above_half_transmission(tau, low):
+    assert _direct_rate(make_canonical(tau, nbar=0.0), 1e4) > low

@@ -93,6 +93,12 @@ def _sim(**changes):
          None),
         (lambda: gk.convergence_table(gk.make_canonical(0.5, nbar=0.1), [10**400]), DomainError,
          None),
+        # a complex transmission once passed as a channel: e_r_interior gave -1.483
+        pytest.param(lambda: gk.CanonicalChannel(1 + 2j, 0.1), DomainError, "tau", id="complex-tau"),
+        pytest.param(lambda: gk.CanonicalChannel(0.5 + 0j, 0.1), DomainError, "tau",
+                     id="real-complex-tau"),
+        pytest.param(lambda: gk.CanonicalChannel(0.5, 1 + 2j), DomainError, "nbar",
+                     id="complex-nbar"),
     ],
 )
 def test_argument_checks_name_their_field(call, error, field):
@@ -100,6 +106,78 @@ def test_argument_checks_name_their_field(call, error, field):
         call()
     assert info.value.field == field
     assert len(info.value.args) == 1
+
+
+_CH = gk.make_canonical(0.5, nbar=0.1)
+
+# Every public numeric, count and choice argument, with the field its NaN or
+# 10**400 refusal names (None where the check names no field).
+_SLOTS = {
+    "channel_tau": (lambda x: gk.CanonicalChannel(x, 0.1), "tau"),
+    "channel_nbar": (lambda x: gk.CanonicalChannel(0.5, x), "nbar"),
+    "make_canonical_tau": (lambda x: gk.make_canonical(x, nbar=0.1), "tau"),
+    "make_canonical_nbar": (lambda x: gk.make_canonical(0.5, nbar=x), "nbar"),
+    "make_canonical_eps": (lambda x: gk.make_canonical(0.5, eps=x), "eps"),
+    "entropy_g": (lambda x: gk.entropy_g(x), None),
+    "threshold_rate_id": (lambda x: gk.threshold_eps(x, 0.5), "rate_id"),
+    "threshold_tau": (lambda x: gk.threshold_eps("e_r", x), "tau"),
+    "threshold_tol": (lambda x: gk.threshold_eps("e_r", 0.5, tol=x), "tol"),
+    "sweep_tau_min": (lambda x: gk.sweep(x, 0.8, 3), "tau_min/tau_max"),
+    "sweep_tau_max": (lambda x: gk.sweep(0.2, x, 3), "tau_min/tau_max"),
+    "sweep_steps": (lambda x: gk.sweep(0.2, 0.8, x), "steps"),
+    "sweep_tol": (lambda x: gk.sweep(0.2, 0.8, 3, tol=x), "tol"),
+    "classify_tau": (lambda x: gk.classify(x, 0.1), "tau"),
+    "classify_eps": (lambda x: gk.classify(0.5, x), "eps"),
+    "symplectic_form": (lambda x: gk.symplectic_form(x), "n_modes"),
+    "vacuum": (lambda x: gk.vacuum(x), "n_modes"),
+    "thermal": (lambda x: gk.thermal(x), None),
+    "tmsv": (lambda x: gk.tmsv(x), None),
+    "beam_splitter": (lambda x: gk.beam_splitter(x), None),
+    "two_mode_squeezer": (lambda x: gk.two_mode_squeezer(x), None),
+    "partial_trace": (lambda x: gk.partial_trace(gk.vacuum(2), x), None),
+    "apply_symplectic": (lambda x: gk.apply_symplectic(gk.vacuum(2), gk.beam_splitter(0.5), x),
+                         None),
+    "homodyne_mode": (lambda x: gk.homodyne_condition(gk.vacuum(2), x, "q"), None),
+    "homodyne_quadrature": (lambda x: gk.homodyne_condition(gk.vacuum(2), 0, x), None),
+    "mode_block": (lambda x: gk.vacuum(2).mode_block(0, x), None),
+    "apply_channel": (lambda x: gk.apply_channel(gk.vacuum(2), _CH, mode=x), None),
+    "apply_dilation": (lambda x: gk.apply_dilation(gk.vacuum(1), gk.dilate(_CH), mode=x), None),
+    "rci_mu": (lambda x: gk.rci_finite_mu(_CH, x), None),
+    "ci_mu": (lambda x: gk.ci_finite_mu(_CH, x), None),
+    "protocol_mu": (lambda x: gk.protocol_rate_numeric(_CH, x), None),
+    "protocol_port_model": (lambda x: gk.protocol_rate_numeric(_CH, 10.0, x), None),
+    "protocol_basis": (lambda x: gk.protocol_rate_numeric(_CH, 10.0, basis=x), None),
+    "holevo_mu": (lambda x: gk.protocol_holevo_information(_CH, x), None),
+    "convergence_mu_values": (lambda x: gk.convergence_table(_CH, x), None),
+    "convergence_engine": (lambda x: gk.convergence_table(_CH, [10.0], engine=x), None),
+    "convergence_port_model": (lambda x: gk.convergence_table(_CH, [10.0], "protocol", x), None),
+    "sim_tau": (lambda x: _sim(tau=x), "tau"),
+    "sim_nbar": (lambda x: _sim(nbar=x), "nbar"),
+    "sim_mu": (lambda x: _sim(mu=x), "mu"),
+    "sim_rounds": (lambda x: _sim(rounds=x), "rounds"),
+    "sim_seed": (lambda x: _sim(seed=x), "seed"),
+    "sim_mode": (lambda x: _sim(mode=x), "mode"),
+    "moments_tau": (lambda x: gk.analytic_moments(x, 0.1, 5.0), "tau"),
+    "moments_nbar": (lambda x: gk.analytic_moments(0.5, x, 5.0), "nbar"),
+    "moments_mu": (lambda x: gk.analytic_moments(0.5, 0.1, x), None),
+    "moments_basis": (lambda x: gk.analytic_moments(0.5, 0.1, 5.0, x), None),
+    "kept_rounds": (lambda x: gk.moment_standard_errors(np.eye(2), x), None),
+}
+_WRONG_TYPES = {
+    "none": None, "str": "x", "list": [0.5], "dict": {}, "complex": 1 + 2j,
+    "array": np.array([0.5, 0.6]),
+}
+
+
+@pytest.mark.parametrize("value", _WRONG_TYPES.values(), ids=_WRONG_TYPES.keys())
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_wrong_typed_arguments_are_refused_with_their_field(slot, value):
+    call, field = _SLOTS[slot]
+    if value is None and slot in ("make_canonical_nbar", "make_canonical_eps"):
+        field = "nbar/eps"  # None means "not given": the other noise argument is missing too
+    with pytest.raises(GaussKeyError) as info:
+        call(value)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize(

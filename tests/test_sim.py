@@ -4,6 +4,7 @@ full state pipeline, determinism, statistics quality, CSV export."""
 import hashlib
 import math
 import multiprocessing
+import os
 import threading
 import tracemalloc
 import warnings
@@ -535,3 +536,11 @@ def test_forked_child_runs_chunks_after_the_parent_did(monkeypatch):
             child.join()
     assert child.exitcode == 0
     assert got == want
+
+
+@pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
+def test_cpu_count_falls_back_without_affinity(monkeypatch, cpus, want):
+    # Off Linux there is no sched_getaffinity; os.cpu_count may return None.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sim_module._cpu_count() == want
