@@ -1,9 +1,12 @@
 """Exception types shared across the package, and the one argument rule.
 
-A real is anything ``float()`` accepts, numpy scalars included; ``_float``
-turns anything else into NaN, which the range check after it refuses.  A
-count is a whole number that fits a float (``_count``), and a choice is a
-``str`` among its options (``_choice``).  Each refusal is a ``DomainError``.
+A real is anything ``float()`` accepts, numpy scalars included, but no
+complex number of any type and no array of one or more dimensions: numpy
+converts those with a warning, dropping the imaginary part or (before numpy
+2.4) the shape.  ``_float`` turns anything else into NaN, which the range
+check after it refuses.  A count is a whole number that fits a float
+(``_count``), and a choice is a ``str`` among its options (``_choice``).
+Each refusal is a ``DomainError``.
 
 ``GaussKeyError.field`` names the argument at fault ("nbar"), or two names
 joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig``, threshold
@@ -13,6 +16,7 @@ choices, ``kept_rounds``, ``entropy_g``, and states an engine built itself.
 """
 
 import math
+import numbers
 
 __all__ = [
     "GaussKeyError",
@@ -57,8 +61,19 @@ class EmptyStatisticsError(GaussKeyError, RuntimeError):
     """A simulation kept too few rounds to form moment estimates."""
 
 
+def _nonreal(x) -> bool:
+    """True for a complex number of any type and for an array of one or more dimensions."""
+    t = type(x)
+    return t is not float and t is not int and (
+        getattr(x, "ndim", 0) != 0
+        or isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real)
+    )
+
+
 def _whole(x) -> bool:
     """True if ``x`` is a whole number that fits a float, such as 3 or 1e5."""
+    if _nonreal(x):
+        return False
     try:
         return int(x) == x and math.isfinite(x)
     except (TypeError, ValueError, OverflowError):  # nan, inf, 10**400, non-numbers
@@ -82,6 +97,10 @@ def _shown(x, fmt=str) -> str:
 
 def _float(x) -> float:
     """``float(x)``, never raising: +-inf past float range (10**400), NaN for a non-real (None)."""
+    if type(x) is float:
+        return x
+    if _nonreal(x):
+        return math.nan
     try:
         return float(x)
     except OverflowError:

@@ -66,26 +66,24 @@ class CanonicalChannel:
     nbar: float
 
     def __post_init__(self):
-        # One chain of comparisons keeps this cheap: it is false for NaN, inf
-        # and ints too large for a float, and raises for a non-real.
-        try:
-            if (-_MAX <= self.tau <= _MAX and self.tau != 1.0 and 0.0 <= self.nbar <= _HALF_MAX
-                    and 2.0 * self.nbar * abs(1.0 - self.tau) <= _MAX):
-                return
-        except (TypeError, ValueError):  # complex, str, None, an array
-            pass
-        try:
-            finite = -_MAX <= self.tau <= _MAX
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise DomainError(f"transmission must be a finite real, got {_shown(self.tau)}", "tau")
-        if self.tau == 1.0:
+        tau, nbar = self.tau, self.nbar
+        # One chain of comparisons keeps the common case cheap: it is false
+        # for NaN, inf and anything but a Python float.
+        if (type(tau) is float and type(nbar) is float and -_MAX <= tau <= _MAX and tau != 1.0
+                and 0.0 <= nbar <= _HALF_MAX and 2.0 * nbar * abs(1.0 - tau) <= _MAX):
+            return
+        t, n = _float(tau), _float(nbar)
+        if not -_MAX <= t <= _MAX:
+            raise DomainError(f"transmission must be a finite real, got {_shown(tau)}", "tau")
+        if t == 1.0:
             raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        raise DomainError(
-            "temperature nbar must be a finite real >= 0, with finite w and eps, "
-            f"got {_shown(self.nbar)}", "nbar"
-        )
+        if not (0.0 <= n <= _HALF_MAX and 2.0 * n * abs(1.0 - t) <= _MAX):
+            raise DomainError(
+                "temperature nbar must be a finite real >= 0, with finite w and eps, "
+                f"got {_shown(nbar)}", "nbar"
+            )
+        object.__setattr__(self, "tau", t)  # stored as Python floats
+        object.__setattr__(self, "nbar", n)
 
     @property
     def class_label(self) -> str:
@@ -117,23 +115,18 @@ def make_canonical(
     """
     if (nbar is None) == (eps is None):
         raise DomainError("exactly one of nbar and eps must be given", field="nbar/eps")
-    try:
-        tau = float(tau)
-        if eps is None:
-            nbar = float(nbar)
-        else:
-            eps = float(eps)
-    except (OverflowError, TypeError, ValueError):  # refused below as +-inf or NaN
-        tau, nbar, eps = _float(tau), *(v if v is None else _float(v) for v in (nbar, eps))
-    if eps is not None:
-        if tau == 1.0:  # guards the division below
-            raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-        nbar = eps / (2.0 * abs(1.0 - tau))
-        if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
-            raise DomainError(
-                f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
-                field="eps",
-            )
+    if eps is None:
+        return CanonicalChannel(tau, nbar)
+    if type(tau) is not float or type(eps) is not float:  # the threshold search passes floats
+        tau, eps = _float(tau), _float(eps)
+    if tau == 1.0:  # guards the division below
+        raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
+    nbar = eps / (2.0 * abs(1.0 - tau))
+    if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
+        raise DomainError(
+            f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
+            field="eps",
+        )
     return CanonicalChannel(tau, nbar)
 
 
@@ -146,10 +139,8 @@ def entropy_g(x: float) -> float:
     cancellation at large x; below x = 1 the second logarithm is
     log1p(x) - log(x), since 1/x overflows for subnormal x.
     """
-    try:
-        x = float(x)
-    except (OverflowError, TypeError, ValueError):  # refused below as +-inf or NaN
-        x = _float(x)
+    if type(x) is not float:
+        x = _float(x)  # refused below as +-inf or NaN if not a real
     if not 0.0 <= x < math.inf:
         raise DomainError(f"entropy_g requires finite x >= 0, got {x}")
     if x == 0.0:

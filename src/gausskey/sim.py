@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyStatisticsError, NumericError
-from .errors import _choice, _count, _float, _shown, _whole
+from .errors import _choice, _count, _shown, _whole
 from .rates import CanonicalChannel
 from .symplectic import _variance
 
@@ -100,7 +100,7 @@ class SimConfig:
     mode: str = "memory"
 
     def __post_init__(self):
-        CanonicalChannel(_float(self.tau), _float(self.nbar))
+        CanonicalChannel(self.tau, self.nbar)
         _variance(self.mu, "source variance mu", field="mu")
         _count(self.rounds, 1, "rounds", field="rounds")
         if not (_whole(self.seed) and 0 <= self.seed < 2**64):
@@ -145,7 +145,7 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     negative for tau > 0 and positive for tau < 0, because phase conjugation
     flips the sign of the p correlation.
     """
-    ch = CanonicalChannel(_float(tau), _float(nbar))
+    ch = CanonicalChannel(tau, nbar)
     mu = _variance(mu, "source variance mu")
     _choice(basis, ("q", "p"), "basis")
     vb = (abs(ch.tau) * mu + abs(1.0 - ch.tau) * ch.w + 1.0) / 2.0

@@ -17,14 +17,15 @@ and is re-exported here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMeasurementError, DomainError, InvalidStateError
+from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, NumericError
 from .errors import _choice, _count, _float, _shown, _whole
-from .rates import entropy_g
+from .rates import _HALF_MAX, entropy_g
 
 __all__ = [
     "CovMat",
@@ -71,12 +72,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return _times_omega(np.eye(2 * _count(n_modes, 1, "n_modes", field="n_modes")))
 
 
-def _det2(block: np.ndarray) -> float:
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+def _one_mode_eigenvalue(m: np.ndarray) -> float:
+    """sqrt(det V) of a one-mode array, in Python floats; raises unless V is positive definite."""
+    (a, b), (c, d) = m.tolist()
+    scale = 1.0
+    det = a * d - b * c
+    if not math.isfinite(det):  # a d or b c overflowed: divide by the largest entry first
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        a, b, c, d = a / scale, b / scale, c / scale, d / scale
+        det = a * d - b * c
+    if not (a > 0.0 and det > 0.0):
+        raise InvalidStateError("covariance matrix is not positive definite")
+    return math.sqrt(det) * scale
 
 
 def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
-    """Two-mode spectrum [nu_+, nu_-] in Python floats, or None where a Cholesky pivot is not > 0.
+    """Two-mode spectrum [nu_+, nu_-] in Python floats, or None where a Cholesky pivot is not > 0
+    or nu_+ overflows.
 
     V = L L^T is factorised entry by entry, and K = L^T Omega L is the real
     antisymmetric matrix whose eigenvalues are +-i nu_k.  Its self-dual and
@@ -114,7 +126,8 @@ def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
     k23 = l22 * l33
     a = math.hypot(k01 + k23, k02 - k13, k03 + k12)
     b = math.hypot(k01 - k23, k02 + k13, k03 - k12)
-    return [0.5 * (a + b), 0.5 * (a - b)]
+    high = 0.5 * (a + b)
+    return [high, 0.5 * (a - b)] if high < math.inf else None
 
 
 def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
@@ -143,26 +156,32 @@ def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
     reject valid states of large variance.
     """
     n = m.shape[0] // 2
+    # A positive-definite array's largest entry lies on its diagonal.
+    scale = max(1.0, *m.diagonal().tolist())
     nu = None
     if n == 1:
-        det = _det2(m)
-        if m[0, 0] <= 0.0 or det <= 0.0:
-            raise InvalidStateError("covariance matrix is not positive definite")
-        nu = [math.sqrt(det)]
+        nu = [_one_mode_eigenvalue(m)]
     elif n == 2:
         nu = _two_mode_eigenvalues(m)
     if nu is None:
+        # Sums in L^T Omega L reach 2n * scale.  Where that overflows, the
+        # array is divided by a power of two first (exact), and nu multiplied back.
+        shrink = 2.0 ** (2 * n).bit_length() if n * scale > _HALF_MAX else 1.0
+        a = m / shrink if shrink > 1.0 else m
         try:
-            root = np.linalg.cholesky(m)
+            root = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
-            evals, vecs = np.linalg.eigh(m)
-            if evals[0] <= -SYMMETRY_ATOL * max(1.0, float(np.abs(m).max())):
+            evals, vecs = np.linalg.eigh(a)
+            if evals[0] <= -SYMMETRY_ATOL * max(1.0, float(np.abs(a).max())):
                 raise InvalidStateError("covariance matrix is not positive definite")
             root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
         spec = np.linalg.eigvalsh(1j * (_times_omega(root.T) @ root))
-        nu = spec[: n - 1 : -1].tolist()
-    # A positive-definite array's largest entry lies on its diagonal.
-    scale = max(1.0, *m.diagonal().tolist())
+        nu = [v * shrink for v in spec[: n - 1 : -1].tolist()]
+    if not nu[0] < math.inf:
+        raise NumericError(
+            f"symplectic eigenvalue {nu[0]} of a {n}-mode state is past the float range "
+            "(float range limit)"
+        )
     low = nu[-1]
     if low < 1.0 - PHYSICALITY_ATOL * scale:
         raise InvalidStateError(
@@ -211,9 +230,12 @@ class CovMat:
     positive definite (it has a Cholesky factor; an array too singular for
     one may have no eigenvalue at or below -1e-12 times its largest entry),
     and satisfy the uncertainty relation (every symplectic eigenvalue
-    >= 1 - 1e-9 times max(1, largest entry)).  The stored array is
-    read-only, and the spectrum found is kept in ``_nu`` for spectra and
-    entropies; all operations return new instances.
+    >= 1 - 1e-9 times max(1, largest entry)).  A spectrum past the float
+    range raises :class:`NumericError`.  The stored array is a read-only
+    view of a read-only array, and the spectrum found is kept in ``_nu``
+    for spectra and entropies.  ``tmsv`` and ``vacuum`` return one shared,
+    validated, read-only instance per parameter; every other operation
+    returns a new instance.
     """
 
     entries: np.ndarray
@@ -228,11 +250,15 @@ class CovMat:
         peak = float(np.abs(m).max())
         if not math.isfinite(peak):
             raise InvalidStateError("covariance matrix has non-finite entries")
+        halved = peak > _HALF_MAX  # m +- m.T would overflow: halve first, exact at this scale
+        if halved:
+            m, peak = 0.5 * m, 0.5 * peak
         if float(np.abs(m - m.T).max()) > SYMMETRY_ATOL * max(1.0, peak):
             raise InvalidStateError("covariance matrix is not symmetric")
-        m = 0.5 * (m + m.T)
+        m = m + m.T if halved else 0.5 * (m + m.T)
         m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        # A view of a read-only array can never be made writable again.
+        object.__setattr__(self, "entries", m.view())
         object.__setattr__(self, "_nu", _symplectic_eigenvalues(m))
 
     @property
@@ -263,8 +289,13 @@ def von_neumann_entropy(state: CovMat) -> float:
 
 
 def vacuum(n_modes: int = 1) -> CovMat:
-    """n-mode vacuum state (identity covariance)."""
-    return CovMat(np.eye(2 * _count(n_modes, 1, "n_modes", field="n_modes")))
+    """n-mode vacuum state (identity covariance), one shared instance per ``n_modes``."""
+    return _vacuum(_count(n_modes, 1, "n_modes", field="n_modes"))
+
+
+@functools.lru_cache(maxsize=16)
+def _vacuum(n_modes: int) -> CovMat:
+    return CovMat(np.eye(2 * n_modes))
 
 
 def thermal(w: float) -> CovMat:
@@ -278,8 +309,14 @@ def tmsv(mu: float) -> CovMat:
     Diagonal blocks are mu * I2 and the cross block is
     sqrt(mu^2 - 1) * diag(1, -1): q quadratures correlated, p quadratures
     anticorrelated.  Pure for every mu >= 1 (mu = 1 is the two-mode vacuum).
+    One shared instance per value of ``mu`` is built; a ``mu`` whose state
+    fails validation raises on every call.
     """
-    mu = _variance(mu, "source variance mu")
+    return _tmsv(_variance(mu, "source variance mu"))
+
+
+@functools.lru_cache(maxsize=256)
+def _tmsv(mu: float) -> CovMat:
     c = math.sqrt(mu * mu - 1.0)
     return CovMat(
         np.array([[mu, 0.0, c, 0.0], [0.0, mu, 0.0, -c], [c, 0.0, mu, 0.0], [0.0, -c, 0.0, mu]])

@@ -194,10 +194,15 @@ def test_protocol_rate_refuses_cancelled_conditional_variance():
 
 
 @pytest.mark.parametrize(
-    "engine, calls",
-    [(rci_finite_mu, 3), (ci_finite_mu, 3), (protocol_rate_numeric, 9)],
+    "engine, calls, warm_calls",
+    [(rci_finite_mu, 3, 2), (ci_finite_mu, 3, 2), (protocol_rate_numeric, 9, 6)],
+    ids=["rci_finite_mu-3", "ci_finite_mu-3", "protocol_rate_numeric-9"],
 )
-def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls):
+def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls, warm_calls):
+    # The first call builds the source states (tmsv, and for the protocol
+    # engine the environment tmsv and the vacuum port); the second reuses them.
+    gausskey.symplectic._tmsv.cache_clear()
+    gausskey.symplectic._vacuum.cache_clear()
     seen = []
     spectrum = gausskey.symplectic._symplectic_eigenvalues
 
@@ -208,6 +213,9 @@ def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls):
     monkeypatch.setattr(gausskey.symplectic, "_symplectic_eigenvalues", counting)
     engine(make_canonical(0.5, nbar=0.1), 100.0)
     assert len(seen) == calls
+    seen.clear()
+    engine(make_canonical(0.5, nbar=0.1), 100.0)
+    assert len(seen) == warm_calls
 
 
 def test_engine_argument_validation():

@@ -99,6 +99,26 @@ def _sim(**changes):
                      id="real-complex-tau"),
         pytest.param(lambda: gk.CanonicalChannel(0.5, 1 + 2j), DomainError, "nbar",
                      id="complex-nbar"),
+        # numpy's complex scalars compare like reals and float() drops their
+        # imaginary part with a warning; a one-element array was stored as is
+        pytest.param(lambda: gk.CanonicalChannel(np.complex128(1 + 2j), 0.1), DomainError, "tau",
+                     id="numpy-complex-tau"),
+        pytest.param(lambda: gk.CanonicalChannel(np.complex64(0.5), 0.1), DomainError, "tau",
+                     id="numpy-complex64-tau"),
+        pytest.param(lambda: gk.CanonicalChannel(0.5, np.complex128(0.1)), DomainError, "nbar",
+                     id="numpy-complex-nbar"),
+        pytest.param(lambda: gk.CanonicalChannel(np.array([0.5]), 0.1), DomainError, "tau",
+                     id="one-element-array-tau"),
+        pytest.param(lambda: gk.CanonicalChannel(0.5, np.array([0.1])), DomainError, "nbar",
+                     id="one-element-array-nbar"),
+        pytest.param(lambda: gk.make_canonical(np.complex128(0.5 + 1j), nbar=0.1), DomainError,
+                     "tau", id="make-canonical-numpy-complex-tau"),
+        pytest.param(lambda: gk.make_canonical(np.complex128(0.5 + 1j), eps=0.1), DomainError,
+                     "tau", id="make-canonical-numpy-complex-tau-eps"),
+        pytest.param(lambda: gk.make_canonical(0.5, eps=np.complex128(0.1)), DomainError, "eps",
+                     id="make-canonical-numpy-complex-eps"),
+        pytest.param(lambda: gk.make_canonical(np.array([0.5]), eps=0.1), DomainError, "tau",
+                     id="make-canonical-one-element-array-tau"),
     ],
 )
 def test_argument_checks_name_their_field(call, error, field):
@@ -165,7 +185,8 @@ _SLOTS = {
 }
 _WRONG_TYPES = {
     "none": None, "str": "x", "list": [0.5], "dict": {}, "complex": 1 + 2j,
-    "array": np.array([0.5, 0.6]),
+    "array": np.array([0.5, 0.6]), "numpy_complex": np.complex128(1 + 2j),
+    "one_element_array": np.array([0.5]),
 }
 
 
@@ -281,6 +302,20 @@ def test_engine_internal_errors_carry_no_field(call, error):
     with pytest.raises(error) as info:
         call()
     assert info.value.field is None
+
+
+@pytest.mark.parametrize(
+    "tau, nbar",
+    [(np.float32(0.5), 0.1), (np.float64(0.5), np.float32(0.1)), (np.int64(0), 0), (2, True)],
+    ids=["float32-tau", "float32-nbar", "numpy-int", "int-and-bool"],
+)
+def test_channel_fields_are_stored_as_python_floats(tau, nbar):
+    # a float32 field once overflowed casting float max to float32, with a RuntimeWarning
+    ch = gk.CanonicalChannel(tau, nbar)
+    assert type(ch.tau) is float and type(ch.nbar) is float
+    assert (ch.tau, ch.nbar) == (float(tau), float(nbar))
+    assert ch == gk.CanonicalChannel(float(tau), float(nbar))
+    assert gk.rate_report(ch) == gk.rate_report(gk.CanonicalChannel(float(tau), float(nbar)))
 
 
 def test_largest_finite_temperature_stays_valid():

@@ -21,6 +21,7 @@ from gausskey.errors import (
     DegenerateMeasurementError,
     DomainError,
     InvalidStateError,
+    NumericError,
 )
 
 # independent high-precision evaluations (mpmath, 50 digits)
@@ -387,6 +388,120 @@ def test_covmat_entries_read_only():
     state = gk.vacuum(1)
     with pytest.raises(ValueError):
         state.entries[0, 0] = 9.0
+
+
+def test_tmsv_and_vacuum_share_one_instance_per_parameter():
+    assert gk.tmsv(10) is gk.tmsv(10.0) is gk.tmsv(np.float64(10))
+    assert gk.tmsv(10.0) is not gk.tmsv(11.0)
+    assert gk.vacuum(1) is gk.vacuum(1) is gk.vacuum() is gk.vacuum(1.0)
+    assert gk.vacuum(2) is not gk.vacuum(1)
+    # the shared states are the ones a fresh build gives
+    assert np.array_equal(gk.tmsv(10.0).entries, gk.symplectic._tmsv.__wrapped__(10.0).entries)
+    assert gk.tmsv(10.0)._nu == gk.symplectic._tmsv.__wrapped__(10.0)._nu
+
+
+_CH = gk.make_canonical(0.5, nbar=0.1)
+_STATES = {
+    "vacuum": lambda: gk.vacuum(1),
+    "vacuum3": lambda: gk.vacuum(3),
+    "tmsv": lambda: gk.tmsv(10.0),
+    "thermal": lambda: gk.thermal(3.0),
+    "covmat": lambda: gk.CovMat(np.diag([2.0, 3.0])),
+    "tensor": lambda: gk.tensor(gk.tmsv(10.0), gk.vacuum(1)),
+    "partial_trace": lambda: gk.partial_trace(gk.tmsv(10.0), (1,)),
+    "apply_symplectic": lambda: gk.apply_symplectic(gk.tmsv(10.0), gk.beam_splitter(0.3), (0, 1)),
+    "apply_channel": lambda: gk.apply_channel(gk.tmsv(10.0), _CH, mode=1),
+    "homodyne": lambda: gk.homodyne_condition(gk.tmsv(10.0), 0, "q"),
+    "dilation_environment": lambda: gk.dilate(_CH).environment,
+    "protocol": lambda: _protocol_state(_CH, 10.0),
+    "huge": lambda: gk.thermal(1.7e308),
+}
+
+
+@pytest.mark.parametrize("kind", _STATES)
+def test_no_state_can_be_made_writable(kind):
+    state = _STATES[kind]()
+    before = state.entries.copy()
+    with pytest.raises(ValueError):
+        state.entries.flags.writeable = True
+    with pytest.raises(ValueError):
+        state.entries[0, 0] = 9.0
+    assert not state.entries.flags.writeable
+    assert np.array_equal(state.entries, before)
+
+
+def test_covmat_never_stores_the_callers_array():
+    given = np.diag([2.0, 3.0])
+    state = gk.CovMat(given)
+    given[0, 0] = 0.5
+    assert state.entries[0, 0] == 2.0
+    assert given.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "mu, error",
+    [
+        (0.5, DomainError),
+        (math.nan, DomainError),
+        (math.inf, DomainError),
+        ("x", DomainError),
+        # the stored sqrt(mu^2 - 1) makes the array unphysical (ROADMAP open item 1)
+        (1.8e7, InvalidStateError),
+    ],
+)
+def test_invalid_source_variance_raises_on_every_call(mu, error):
+    before = gk.symplectic._tmsv.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(error):
+            gk.tmsv(mu)
+    assert gk.symplectic._tmsv.cache_info().currsize == before
+
+
+def test_one_mode_spectrum_past_the_square_root_of_float_max():
+    # det V = 1e320 overflows; the spectrum sqrt(det V) = 1e160 does not
+    state = gk.thermal(1e160)
+    assert state._nu == (1e160,)
+    assert gk.von_neumann_entropy(state) == gk.entropy_g((1e160 - 1.0) / 2.0)
+    assert gk.von_neumann_entropy(state) == pytest.approx(531.95, abs=0.01)
+    skewed = gk.CovMat([[1e300, 1e299], [1e299, 1e300]])
+    assert skewed._nu[0] == pytest.approx(1e300 * math.sqrt(0.99), rel=1e-15)
+
+
+@pytest.mark.parametrize("peak", [9e307, 1.7e308, sys.float_info.max])
+def test_entries_past_half_the_float_range_stay_finite(peak):
+    # 0.5 * (m + m.T) overflowed to inf for these representable arrays
+    for state in (gk.CovMat(np.eye(2) * peak), gk.thermal(peak)):
+        assert np.array_equal(state.entries, peak * np.eye(2))
+        assert state._nu == (peak,)
+    assert gk.CovMat(np.eye(4) * peak)._nu == pytest.approx((peak, peak), rel=1e-15)
+    assert gk.CovMat(np.eye(6) * peak)._nu == pytest.approx((peak,) * 3, rel=1e-15)
+
+
+def test_large_two_mode_spectra_come_from_the_scaled_array():
+    # nu = m +- c: 0.7 * float max stays finite, though a + b in the closed form overflows
+    big = sys.float_info.max
+    m, c = 0.4 * big, 0.3 * big
+    v = np.array([[m, 0, c, 0], [0, m, 0, c], [c, 0, m, 0], [0, c, 0, m]])
+    assert gk.CovMat(v)._nu == pytest.approx((0.7 * big, 0.1 * big), rel=1e-14)
+
+
+@pytest.mark.parametrize("n_modes", [2, 3])
+def test_spectrum_past_the_float_range_is_a_numeric_error(n_modes):
+    big = sys.float_info.max
+    m, c = 0.9 * big, 0.8 * big  # nu_+ = 1.7 * float max
+    v = np.eye(2 * n_modes)
+    v[:4, :4] = [[m, 0, c, 0], [0, m, 0, c], [c, 0, m, 0], [0, c, 0, m]]
+    with pytest.raises(NumericError, match="float range limit") as info:
+        gk.CovMat(v)
+    assert info.value.field is None
+
+
+def test_ordinary_one_mode_spectra_keep_their_bits():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        state = random_state(rng, 1)[0]
+        (a, b), (c, d) = state.entries.tolist()
+        assert state._nu[0] == max(1.0, math.sqrt(a * d - b * c))
 
 
 def test_tensor_entropy_additive():
