@@ -4,10 +4,11 @@ Verifying the protocol rate from the channel dilation
 
 Every attenuating or amplifying channel is a two-mode symplectic (a beam
 splitter or a squeezer) acting on the signal and a thermal environment.
-Purifying the environment and tracking all five modes of the protocol gives
-the eavesdropper's state exactly, so the achievable rate can be rebuilt as
-mutual information minus Holevo information and checked against the closed
-form.
+Purifying the environment makes the global state pure, so the eavesdropper's
+entropy equals that of the modes she does not hold.  That is how the
+protocol engine reads her entropies without building her modes, for every
+channel class, and rebuilds the achievable rate as mutual information minus
+Holevo information to check it against the closed form.
 """
 
 from gausskey import (
@@ -34,7 +35,8 @@ s_e = von_neumann_entropy(partial_trace(joint, env))
 print(f"S(Alice,Bob) = {s_ab:.12f}")
 print(f"S(environment) = {s_e:.12f}")
 
-# The protocol rate from the five-mode bookkeeping, against the closed form.
+# The protocol rate, its Holevo term read from the complementary modes, against
+# the closed form.
 # The discarded beam-splitter port can be read two ways; only the trusted
 # reading (Eve does not hold the detection-noise mode) converges.
 closed = r_rev(ch)

@@ -3,7 +3,7 @@
 Subcommands: ``rates`` (closed-form bounds at a point), ``thresholds``
 (security-threshold curves to CSV, optionally SVG), ``converge``
 (finite-squeezing engines against their closed-form targets), ``verify``
-(dilation-based protocol rate against the closed form), ``simulate`` (seeded
+(finite-mu protocol rate against the closed form), ``simulate`` (seeded
 protocol Monte Carlo, JSON out), and ``classify`` (region flags at a point).
 
 Exit codes: 0 on success, 1 on domain errors (values outside the supported
@@ -201,14 +201,14 @@ def converge(tau, nbar, mu_list, engine, as_json):
 
 
 @cli.command()
-@click.option("--tau", type=float, required=True, help="Channel transmission (0 < tau, tau != 1).")
+@click.option("--tau", type=float, required=True, help="Channel transmission (tau != 1).")
 @click.option("--nbar", type=float, required=True, help="Environment temperature.")
 @click.option("--mu", type=float, required=True, help="Source variance (> 1).")
 @click.option("--ports", type=click.Choice(PORT_MODELS), required=True,
               help="Whether the discarded beam-splitter port stays out of the eavesdropper's hands.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def verify(tau, nbar, mu, ports, as_json):
-    """Dilation-based protocol rate against the closed form at one point."""
+    """Finite-mu protocol rate against the closed form at one point."""
     try:
         ch = make_canonical(tau, nbar=nbar)
         numeric = protocol_rate_numeric(ch, mu, port_model=ports)

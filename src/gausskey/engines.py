@@ -5,23 +5,18 @@ Two entropy engines send one arm of a two-mode squeezed vacuum of variance
 spectra; both converge to the matching closed-form interior as mu grows (the
 gap scales like 1/mu).
 
-A third engine rebuilds the reverse homodyne-protocol rate from the explicit
-environment dilation.  The five-mode pure state
-
-    mode 0  Alice's retained source arm
-    mode 1  Bob's kept port of the balanced beam splitter
-    mode 2  environment output (the arm that interacted with the signal)
-    mode 3  environment purifier
-    mode 4  Bob's discarded beam-splitter port
-
-is assembled as one product state (source, environment, vacuum port) on which
-the channel's dilation couples modes 1 and 2 and a balanced beam splitter
-couples modes 1 and 4.  The rate is the Gaussian mutual information between
-matched homodyne outcomes on modes 0 and 1 minus the eavesdropper's Holevo
-information about Bob's outcome.  Two readings of the discarded port are
-implemented: ``"trusted"`` leaves mode 4 out of the eavesdropper's hands
-(the detection noise is trusted), ``"untrusted"`` grants it to her.  The
-trusted reading is the one that converges to the closed-form ``r_rev``.
+A third engine rebuilds the reverse homodyne-protocol rate.  Bob's balanced
+beam splitter mixes the channel output B' with a vacuum port, giving the
+three-mode state (A, B, D): Alice's retained source arm, Bob's kept
+(homodyned) port and his discarded port.  The rate is the Gaussian mutual
+information between matched homodyne outcomes on A and B minus the
+eavesdropper's Holevo information about Bob's outcome y.  Her environment E
+purifies (A, B, D), and (A, D, E) stays pure given y, so each of her
+entropies is that of the complementary modes: no dilation is built, and
+every channel class is covered.  The ``"trusted"`` port model keeps D from
+her (the detection noise is trusted: S(E) = S(A B'), S(E | y) = S(A D | y))
+and is the one that converges to the closed-form ``r_rev``; ``"untrusted"``
+grants it to her (S(E D) = S(A B), S(E D | y) = S(A | y)).
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import CanonicalChannel, apply_channel, dilate
-from .errors import DomainError, NumericError, UnsupportedChannelError, _choice, _float, _shown
+from .channels import CanonicalChannel, apply_channel
+from .errors import DomainError, NumericError, _choice, _float, _shown
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
     CovMat,
@@ -88,14 +83,9 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     return von_neumann_entropy(partial_trace(joint, (1,))) - von_neumann_entropy(joint)
 
 
-def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis: str):
+def _check_protocol_args(mu: float, port_model: str, basis: str):
     _choice(port_model, PORT_MODELS, "port_model")
     _choice(basis, ("q", "p"), "basis")
-    if ch.class_label not in ("C_att", "C_amp"):
-        raise UnsupportedChannelError(
-            f"protocol engine needs an attenuating or amplifying channel, "
-            f"got class {ch.class_label}"
-        )
     if not MIN_PROTOCOL_MU <= _float(mu) < math.inf:
         raise DomainError(
             f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, "
@@ -103,28 +93,19 @@ def _check_protocol_args(ch: CanonicalChannel, mu: float, port_model: str, basis
         )
 
 
-def _protocol_state(ch: CanonicalChannel, mu: float) -> CovMat:
-    """Five-mode pure state (Alice, kept port, env out, env purifier, discarded).
-
-    The vacuum port joins the product before either coupling, so only three
-    five-mode states are validated; its cross blocks stay exact zeros, so
-    the array is the same as when it joins after the dilation.
-    """
-    dilation = dilate(ch)
-    state = tensor(tmsv(mu), dilation.environment, vacuum(1))
-    state = apply_symplectic(state, dilation.coupling, (1, 2))
-    return apply_symplectic(state, beam_splitter(0.5), (1, 4))
+def _protocol_state(ch: CanonicalChannel, mu: float) -> tuple[CovMat, CovMat]:
+    """Channel output (A, B') and the state (A, B, D) after Bob's balanced beam splitter."""
+    joint = apply_channel(tmsv(mu), ch, mode=1)
+    return joint, apply_symplectic(tensor(joint, vacuum(1)), beam_splitter(0.5), (1, 2))
 
 
-def _eve_modes(port_model: str) -> tuple[int, ...]:
-    return (2, 3) if port_model == "trusted" else (2, 3, 4)
-
-
-def _holevo(state: CovMat, eve: tuple[int, ...], basis: str) -> float:
-    before = von_neumann_entropy(partial_trace(state, eve))
+def _holevo(joint: CovMat, state: CovMat, port_model: str, basis: str) -> float:
     conditioned = homodyne_condition(state, measured_mode=1, quadrature=basis)
-    after = von_neumann_entropy(partial_trace(conditioned, tuple(m - 1 for m in eve)))
-    return before - after
+    if port_model == "trusted":  # S(E) = S(A B'), S(E | y) = S(A D | y)
+        return von_neumann_entropy(joint) - von_neumann_entropy(conditioned)
+    # S(E D) = S(A B), S(E D | y) = S(A | y)
+    before = von_neumann_entropy(partial_trace(state, (0, 1)))
+    return before - von_neumann_entropy(partial_trace(conditioned, (0,)))
 
 
 def protocol_holevo_information(
@@ -135,9 +116,8 @@ def protocol_holevo_information(
     Conditioning uses the outcome-independent homodyne update, so this is the
     exact Gaussian Holevo quantity, not a sampled estimate.
     """
-    _check_protocol_args(ch, mu, port_model, basis)
-    state = _protocol_state(ch, float(mu))
-    return _holevo(state, _eve_modes(port_model), basis)
+    _check_protocol_args(mu, port_model, basis)
+    return _holevo(*_protocol_state(ch, float(mu)), port_model, basis)
 
 
 def protocol_rate_numeric(
@@ -151,8 +131,8 @@ def protocol_rate_numeric(
     that rounding could move the rate by more than 1e-6 bits.  Results in
     the q and p bases agree to float noise.
     """
-    _check_protocol_args(ch, mu, port_model, basis)
-    state = _protocol_state(ch, float(mu))
+    _check_protocol_args(mu, port_model, basis)
+    joint, state = _protocol_state(ch, float(mu))
     row = 0 if basis == "q" else 1
     va = float(state.entries[row, row])
     vb = float(state.entries[2 + row, 2 + row])
@@ -166,7 +146,7 @@ def protocol_rate_numeric(
             "(float precision limit)"
         )
     mi = 0.5 * math.log2(va / cond)
-    return mi - _holevo(state, _eve_modes(port_model), basis)
+    return mi - _holevo(joint, state, port_model, basis)
 
 
 @dataclass(frozen=True)

@@ -169,10 +169,16 @@ def test_verify_untrusted_ports_fall_short():
     assert untrusted["abs_diff"] > 0.05 > trusted["abs_diff"]
 
 
-def test_verify_rejects_unsupported_channel():
-    result = _run(["verify", "--tau", "0", "--nbar", "0.3", "--mu", "10", "--ports", "trusted"])
-    assert result.exit_code == 1
-    assert "--tau/--mu" in result.stderr
+def test_verify_covers_channels_without_a_dilation():
+    # Class A1 (tau = 0) gives no key: the finite-mu rate is negative, and
+    # the closed form is 0.
+    result = _run(["verify", "--tau", "0", "--nbar", "0.3", "--mu", "10", "--ports", "trusted",
+                   "--json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["tau"] == 0.0 and payload["closed_form"] == 0.0
+    assert payload["numeric_rate"] < 0.0
+    assert payload["abs_diff"] == -payload["numeric_rate"]
 
 
 def test_simulate_json_payload(tmp_path):

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from five_mode import _eve_modes, _protocol_state, _rate
 
+import gausskey.engines
 import gausskey.symplectic
 from gausskey import (
     ConvergenceRow,
     DomainError,
     NumericError,
-    UnsupportedChannelError,
     analytic_moments,
     apply_dilation,
     apply_symplectic,
@@ -34,7 +35,6 @@ from gausskey import (
     vacuum,
     von_neumann_entropy,
 )
-from gausskey.engines import _eve_modes, _protocol_state
 
 # mpmath, 50 digits: E_R and Q1G interiors at (tau, nbar) = (0.9, 0.1), and
 # the homodyne-protocol interior at (0.5, 0.25).
@@ -176,11 +176,21 @@ def test_protocol_rejects_degenerate_source():
         protocol_rate_numeric(ch, 1.0)
 
 
-def test_protocol_rejects_channels_without_two_mode_dilation():
-    with pytest.raises(UnsupportedChannelError, match="attenuating or amplifying"):
-        protocol_rate_numeric(make_canonical(0.0, nbar=0.3), 10.0)
-    with pytest.raises(UnsupportedChannelError, match="attenuating or amplifying"):
-        protocol_rate_numeric(make_canonical(-0.5, nbar=0.0), 10.0)
+@pytest.mark.parametrize(
+    "tau, nbar, mu_gap",
+    [(-0.5, 0.0, 0.2725), (-2.0, 0.0, 0.521), (-0.05, 0.0, 0.0399), (0.0, 0.3, 0.0)],
+)
+def test_protocol_rate_converges_on_channels_without_two_mode_dilation(tau, nbar, mu_gap):
+    # Classes D (tau < 0) and A1 (tau = 0) have no two-mode dilation, but the
+    # engine needs only the channel's covariance action: mu * gap is steady
+    # over the decades, and neither class gives a key.
+    ch = make_canonical(tau, nbar=nbar)
+    target = r_rev_interior(ch)
+    assert r_rev(ch) == 0.0
+    for mu in (1e2, 1e3, 1e4):
+        value = protocol_rate_numeric(ch, mu)
+        assert value <= 0.0
+        assert mu * (target - value) == pytest.approx(mu_gap, rel=5e-3, abs=2e-8)
 
 
 def test_protocol_rate_refuses_cancelled_conditional_variance():
@@ -195,12 +205,13 @@ def test_protocol_rate_refuses_cancelled_conditional_variance():
 
 @pytest.mark.parametrize(
     "engine, calls, warm_calls",
-    [(rci_finite_mu, 3, 2), (ci_finite_mu, 3, 2), (protocol_rate_numeric, 9, 6)],
-    ids=["rci_finite_mu-3", "ci_finite_mu-3", "protocol_rate_numeric-9"],
+    [(rci_finite_mu, 3, 2), (ci_finite_mu, 3, 2), (protocol_rate_numeric, 6, 4)],
+    ids=["rci_finite_mu-3", "ci_finite_mu-3", "protocol_rate_numeric-6"],
 )
 def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls, warm_calls):
     # The first call builds the source states (tmsv, and for the protocol
-    # engine the environment tmsv and the vacuum port); the second reuses them.
+    # engine the vacuum port); the second reuses them.  No engine state has
+    # more than three modes.
     gausskey.symplectic._tmsv.cache_clear()
     gausskey.symplectic._vacuum.cache_clear()
     seen = []
@@ -213,6 +224,7 @@ def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls, warm_ca
     monkeypatch.setattr(gausskey.symplectic, "_symplectic_eigenvalues", counting)
     engine(make_canonical(0.5, nbar=0.1), 100.0)
     assert len(seen) == calls
+    assert max(seen) <= (6, 6)
     seen.clear()
     engine(make_canonical(0.5, nbar=0.1), 100.0)
     assert len(seen) == warm_calls
@@ -290,6 +302,23 @@ def test_protocol_state_matches_the_dilation_construction(tau):
         assert np.array_equal(_protocol_state(ch, mu).entries, state.entries)
 
 
+@pytest.mark.parametrize(
+    "port_model, near, far", [("trusted", 1e-12, 5e-9), ("untrusted", 1e-10, 5e-8)]
+)
+def test_protocol_engine_matches_the_five_mode_route(port_model, near, far):
+    # The engine reads the eavesdropper's entropies from the complementary
+    # modes; the five-mode route holds her modes.  Worst cases on this grid:
+    # 2.7e-13 (trusted) and 3.6e-11 bits (untrusted) at mu <= 10, 1.7e-9 and
+    # 1.8e-8 at mu = 1e4, where the mpmath oracle sides with the engine.
+    for tau in (0.01, 0.2, 0.5, 0.9, 0.99, 1.01, 1.5, 2.0, 5.0, 30.0):
+        for nbar in (0.0, 0.1, 1.0, 10.0):
+            ch = make_canonical(tau, nbar=nbar)
+            for basis in ("q", "p"):
+                for mu, bound in ((1.5, near), (10.0, near), (1e4, far)):
+                    value = protocol_rate_numeric(ch, mu, port_model, basis)
+                    assert abs(value - _rate(ch, mu, port_model, basis)) <= bound, (tau, nbar, mu)
+
+
 def test_engines_avoid_the_slow_array_constructors(monkeypatch):
     # np.kron, np.block and np.ix_ cost several times the 4x4 eigensolve each
     # state's validation needs; the engine path builds its arrays directly.
@@ -302,6 +331,8 @@ def test_engines_avoid_the_slow_array_constructors(monkeypatch):
         assert math.isfinite(rci_finite_mu(ch, 100.0))
         assert math.isfinite(ci_finite_mu(ch, 100.0))
         assert math.isfinite(protocol_rate_numeric(ch, 100.0))
+        joint, state = gausskey.engines._protocol_state(ch, 100.0)
+        assert (joint.n_modes, state.n_modes) == (2, 3)
         assert _protocol_state(ch, 100.0).n_modes == 5
 
 

@@ -293,8 +293,7 @@ def test_whole_float_counts_stay_accepted():
     [
         (lambda: gk.CovMat(np.diag([0.5, 0.5])), InvalidStateError),
         (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.0), 1.0), DomainError),
-        (lambda: gk.protocol_rate_numeric(gk.make_canonical(-0.5, nbar=0.0), 10.0),
-         UnsupportedChannelError),
+        (lambda: gk.dilate(gk.make_canonical(-0.5, nbar=0.0)), UnsupportedChannelError),
         (lambda: gk.simulate(_sim(rounds=1)), EmptyStatisticsError),
     ],
 )

@@ -14,9 +14,9 @@ from conftest import (
     spectrum_via_eigh_root,
     spectrum_via_iomega,
 )
+from five_mode import _protocol_state
 
 import gausskey as gk
-from gausskey.engines import _protocol_state
 from gausskey.errors import (
     DegenerateMeasurementError,
     DomainError,
