@@ -32,6 +32,7 @@ from .symplectic import (
     CovMat,
     _congruence,
     _quadratures,
+    _result,
     apply_symplectic,
     beam_splitter,
     tensor,
@@ -65,9 +66,10 @@ def apply_channel(state: CovMat, ch: CanonicalChannel, mode: int = 0) -> CovMat:
     with the other modes is multiplied by X^T on the channel side.
     """
     idx = _quadratures([mode], state.n_modes)
-    out = _congruence(state.entries, _channel_x(ch), idx)
-    out[idx, idx] += abs(1.0 - ch.tau) * ch.w  # Y is a multiple of I2
-    return CovMat(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _congruence(state.entries, _channel_x(ch), idx)
+        out[idx, idx] += abs(1.0 - ch.tau) * ch.w  # Y is a multiple of I2
+    return _result(out, "channel output")
 
 
 @dataclass(frozen=True)

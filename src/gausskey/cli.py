@@ -203,7 +203,7 @@ def converge(tau, nbar, mu_list, engine, as_json):
 @cli.command()
 @click.option("--tau", type=float, required=True, help="Channel transmission (tau != 1).")
 @click.option("--nbar", type=float, required=True, help="Environment temperature.")
-@click.option("--mu", type=float, required=True, help="Source variance (> 1).")
+@click.option("--mu", type=float, required=True, help="Source variance (>= 1).")
 @click.option("--ports", type=click.Choice(PORT_MODELS), required=True,
               help="Whether the discarded beam-splitter port stays out of the eavesdropper's hands.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")

@@ -3,20 +3,21 @@
 Two entropy engines send one arm of a two-mode squeezed vacuum of variance
 ``mu`` through a channel and evaluate coherent information from symplectic
 spectra; both converge to the matching closed-form interior as mu grows (the
-gap scales like 1/mu).
+gap scales like 1/mu).  Every engine takes any ``mu`` that ``tmsv`` takes.
 
 A third engine rebuilds the reverse homodyne-protocol rate.  Bob's balanced
 beam splitter mixes the channel output B' with a vacuum port, giving the
 three-mode state (A, B, D): Alice's retained source arm, Bob's kept
 (homodyned) port and his discarded port.  The rate is the Gaussian mutual
 information between matched homodyne outcomes on A and B minus the
-eavesdropper's Holevo information about Bob's outcome y.  Her environment E
-purifies (A, B, D), and (A, D, E) stays pure given y, so each of her
-entropies is that of the complementary modes: no dilation is built, and
-every channel class is covered.  The ``"trusted"`` port model keeps D from
-her (the detection noise is trusted: S(E) = S(A B'), S(E | y) = S(A D | y))
-and is the one that converges to the closed-form ``r_rev``; ``"untrusted"``
-grants it to her (S(E D) = S(A B), S(E D | y) = S(A | y)).
+eavesdropper's Holevo information about Bob's outcome y, both read from one
+homodyne update of (A, B, D).  Her environment E purifies (A, B, D), and
+(A, D, E) stays pure given y, so each of her entropies is that of the
+complementary modes: no dilation is built, and every channel class is
+covered.  The ``"trusted"`` port model keeps D from her (the detection noise
+is trusted: S(E) = S(A B'), S(E | y) = S(A D | y)) and is the one that
+converges to the closed-form ``r_rev``; ``"untrusted"`` grants it to her
+(S(E D) = S(A B), S(E D | y) = S(A | y)).
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ __all__ = [
 ENGINES = ("rci", "ci", "protocol")
 PORT_MODELS = ("trusted", "untrusted")
 
-# Conditioning on Bob's outcome involves variance ratios that degenerate as
-# the source approaches vacuum, so the protocol engine refuses mu at or below
-# this bound.
-MIN_PROTOCOL_MU = 1.0 + 1e-9
-
 # V_A|y = V_A - c^2 / V_y cancels digits as mu grows: its rounding error is
 # about ulp(1) * V_A, so the mutual-information term (1/2) log2(V_A / V_A|y)
 # is off by about ulp(1) * V_A / V_A|y bits.  Past this bound the protocol
@@ -83,24 +79,21 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     return von_neumann_entropy(partial_trace(joint, (1,))) - von_neumann_entropy(joint)
 
 
-def _check_protocol_args(mu: float, port_model: str, basis: str):
-    _choice(port_model, PORT_MODELS, "port_model")
-    _choice(basis, ("q", "p"), "basis")
-    if not MIN_PROTOCOL_MU <= _float(mu) < math.inf:
-        raise DomainError(
-            f"mu must exceed {MIN_PROTOCOL_MU} for stable conditioning and be finite, "
-            f"got {_shown(mu)}"
-        )
-
-
 def _protocol_state(ch: CanonicalChannel, mu: float) -> tuple[CovMat, CovMat]:
     """Channel output (A, B') and the state (A, B, D) after Bob's balanced beam splitter."""
     joint = apply_channel(tmsv(mu), ch, mode=1)
     return joint, apply_symplectic(tensor(joint, vacuum(1)), beam_splitter(0.5), (1, 2))
 
 
-def _holevo(joint: CovMat, state: CovMat, port_model: str, basis: str) -> float:
-    conditioned = homodyne_condition(state, measured_mode=1, quadrature=basis)
+def _conditioned(ch: CanonicalChannel, mu: float, port_model: str, basis: str) -> tuple:
+    """Channel output (A, B'), the state (A, B, D) and its modes (A, D) given Bob's outcome y."""
+    _choice(port_model, PORT_MODELS, "port_model")
+    _choice(basis, ("q", "p"), "basis")
+    joint, state = _protocol_state(ch, mu)
+    return joint, state, homodyne_condition(state, measured_mode=1, quadrature=basis)
+
+
+def _holevo(joint: CovMat, state: CovMat, conditioned: CovMat, port_model: str) -> float:
     if port_model == "trusted":  # S(E) = S(A B'), S(E | y) = S(A D | y)
         return von_neumann_entropy(joint) - von_neumann_entropy(conditioned)
     # S(E D) = S(A B), S(E D | y) = S(A | y)
@@ -116,8 +109,7 @@ def protocol_holevo_information(
     Conditioning uses the outcome-independent homodyne update, so this is the
     exact Gaussian Holevo quantity, not a sampled estimate.
     """
-    _check_protocol_args(mu, port_model, basis)
-    return _holevo(*_protocol_state(ch, float(mu)), port_model, basis)
+    return _holevo(*_conditioned(ch, mu, port_model, basis), port_model)
 
 
 def protocol_rate_numeric(
@@ -125,19 +117,15 @@ def protocol_rate_numeric(
 ) -> float:
     """Reverse homodyne-protocol rate I(x_A : y) - chi(E : y) at finite ``mu``.
 
-    The mutual information uses the variance-ratio form
-    (1/2) log2(V_A / V_{A|y}).  V_{A|y} = V_A - c^2 / V_y loses digits as mu
-    grows, so this raises :class:`NumericError` (float precision limit) once
-    that rounding could move the rate by more than 1e-6 bits.  Results in
-    the q and p bases agree to float noise.
+    The mutual information (1/2) log2(V_A / V_{A|y}) reads V_{A|y} from the
+    homodyne update.  V_{A|y} = V_A - c^2 / V_y loses digits as mu grows, so
+    this raises :class:`NumericError` (float precision limit) once that
+    rounding could move the rate by more than 1e-6 bits.  Results in the q
+    and p bases agree to float noise.
     """
-    _check_protocol_args(mu, port_model, basis)
-    joint, state = _protocol_state(ch, float(mu))
+    joint, state, conditioned = _conditioned(ch, mu, port_model, basis)
     row = 0 if basis == "q" else 1
-    va = float(state.entries[row, row])
-    vb = float(state.entries[2 + row, 2 + row])
-    c = float(state.entries[row, 2 + row])
-    cond = va - c * c / vb
+    va, cond = float(state.entries[row, row]), float(conditioned.entries[row, row])
     rounding = math.ulp(1.0) * va / cond if 0.0 < cond < math.inf else math.inf
     if rounding > _MAX_MI_ROUNDING_BITS:
         raise NumericError(
@@ -145,8 +133,7 @@ def protocol_rate_numeric(
             f"against V_A = {va}: rounding error above {_MAX_MI_ROUNDING_BITS} bits "
             "(float precision limit)"
         )
-    mi = 0.5 * math.log2(va / cond)
-    return mi - _holevo(joint, state, port_model, basis)
+    return 0.5 * math.log2(va / cond) - _holevo(joint, state, conditioned, port_model)
 
 
 @dataclass(frozen=True)

@@ -155,19 +155,30 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     return np.array([[mu, c], [c, vb]])
 
 
+def _moments(cov: np.ndarray, conditional: bool) -> tuple[float, float, float]:
+    """(V_A, V_B, c) of a 2x2 moment matrix whose entries are finite and variances positive.
+
+    With ``conditional``, V_A|B = V_A - c^2 / V_B must be positive too;
+    otherwise raise :class:`DomainError`.
+    """
+    va = float(cov[0, 0])
+    vb = float(cov[1, 1])
+    c = float(cov[0, 1])
+    valid = 0.0 < va < math.inf and 0.0 < vb < math.inf and abs(c) < math.inf
+    if not (valid and (not conditional or va - c * c / vb > 0.0)):
+        raise DomainError("moment matrix is not a valid nondegenerate covariance")
+    return va, vb, c
+
+
 def gaussian_mutual_information(cov: np.ndarray) -> float:
     """Mutual information in bits of a zero-mean bivariate Gaussian.
 
     Uses the variance-ratio form (1/2) log2(V_A / V_{A|B}), which avoids the
     catastrophic cancellation of the determinant form at strong correlation.
+    Entries must be finite, and V_A, V_B and V_{A|B} positive.
     """
-    va = float(cov[0, 0])
-    vb = float(cov[1, 1])
-    c = float(cov[0, 1])
-    cond = va - c * c / vb
-    if not (va > 0.0 and vb > 0.0 and cond > 0.0):
-        raise DomainError("moment matrix is not a valid nondegenerate covariance")
-    return 0.5 * math.log2(va / cond)
+    va, vb, c = _moments(cov, conditional=True)
+    return 0.5 * math.log2(va / (va - c * c / vb))
 
 
 def _p_alignment_sign(tau: float) -> float:
@@ -332,12 +343,11 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
     """Standard errors of the sample covariance entries of a bivariate Gaussian.
 
     Var(s_xx) = 2 V_x^2 / (k - 1) on the diagonal and
-    Var(s_xy) = (V_x V_y + c^2) / (k - 1) off it.
+    Var(s_xy) = (V_x V_y + c^2) / (k - 1) off it.  Entries must be finite
+    and the variances positive.
     """
     k = _count(kept_rounds, 2, "kept_rounds") - 1.0
-    va = float(cov[0, 0])
-    vb = float(cov[1, 1])
-    c = float(cov[0, 1])
+    va, vb, c = _moments(cov, conditional=False)
     off = math.sqrt((va * vb + c * c) / k)
     return np.array(
         [

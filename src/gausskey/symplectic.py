@@ -93,11 +93,13 @@ def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
     V = L L^T is factorised entry by entry, and K = L^T Omega L is the real
     antisymmetric matrix whose eigenvalues are +-i nu_k.  Its self-dual and
     anti-self-dual parts a = (k01 + k23, k02 - k13, k03 + k12) and
-    b = (k01 - k23, k02 + k13, k03 - k12) give nu_+- = (|a| +- |b|) / 2:
-    |a|^2 - |b|^2 = 4 Pf K = 4 det L > 0, so |a| > |b| in exact arithmetic.
-    No square root of a rounded discriminant is taken, so a pure state's
-    nu_- = 1 is as accurate as the factor L (two-mode invariants: Serafini,
-    Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
+    b = (k01 - k23, k02 + k13, k03 - k12) give nu_+ = (|a| + |b|) / 2.
+    Since |a|^2 - |b|^2 = 4 Pf K = 4 det L, the product nu_+ nu_- is
+    det L = sqrt(det V), so nu_- = det L / nu_+: unlike (|a| - |b|) / 2 it
+    keeps its digits however far nu_+ / nu_- exceeds 1 / eps.  No square root
+    of a rounded discriminant is taken, so a pure state's nu_- = 1 is as
+    accurate as the factor L (two-mode invariants: Serafini, Illuminati &
+    De Siena, J. Phys. B 37, L21 (2004)).
     """
     (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.tolist()
     if not a00 > 0.0:
@@ -127,7 +129,10 @@ def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
     a = math.hypot(k01 + k23, k02 - k13, k03 + k12)
     b = math.hypot(k01 - k23, k02 + k13, k03 - k12)
     high = 0.5 * (a + b)
-    return [high, 0.5 * (a - b)] if high < math.inf else None
+    if not high < math.inf:
+        return None
+    # nu_+ nu_- = det L: no cancellation, and no product past the float range
+    return [high, (l00 * l11) * ((l22 * l33) / high)]
 
 
 def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
@@ -192,10 +197,10 @@ def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
 
 def _variance(v: float, what: str, field: str | None = None) -> float:
     """``float(v)`` if it is a quadrature variance, finite and >= 1, else raise."""
-    v = _float(v)
-    if not 1.0 <= v < math.inf:
-        raise DomainError(f"{what} must be >= 1 and finite, got {v}", field=field)
-    return v
+    x = _float(v)
+    if not 1.0 <= x < math.inf:
+        raise DomainError(f"{what} must be >= 1 and finite, got {_shown(v)}", field=field)
+    return x
 
 
 def _quadratures(modes, n_modes: int) -> np.ndarray:
@@ -213,12 +218,31 @@ def _congruence(v: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """New array S V S^T for S acting on quadratures ``idx``; only their rows and columns change.
 
     The result is symmetrised: rounding in a strongly squeezing S can leave
-    more asymmetry than :class:`CovMat` accepts in its input.
+    more asymmetry than :class:`CovMat` accepts in its input.  Halving before
+    the sum keeps every representable entry finite.  Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")`` and pass the array to
+    :func:`_result`.
     """
     out = v.copy()
     out[idx] = s @ v[idx]
     out[:, idx] = out[:, idx] @ s.T
-    return 0.5 * (out + out.T)
+    out *= 0.5
+    return out + out.T
+
+
+def _result(out: np.ndarray, what: str) -> CovMat:
+    """``CovMat(out)`` for the new array of an operation on a valid state.
+
+    Such an array holds inf or NaN only where the arithmetic overflowed, so
+    once :class:`CovMat` refuses it, non-finite entries raise
+    :class:`NumericError` (float range limit) instead.
+    """
+    try:
+        return CovMat(out)
+    except InvalidStateError:
+        if np.isfinite(out).all():
+            raise
+    raise NumericError(f"{what} has entries past the float range (float range limit)")
 
 
 @dataclass(frozen=True)
@@ -318,6 +342,10 @@ def tmsv(mu: float) -> CovMat:
 @functools.lru_cache(maxsize=256)
 def _tmsv(mu: float) -> CovMat:
     c = math.sqrt(mu * mu - 1.0)
+    if c == math.inf:
+        raise NumericError(
+            f"source variance mu = {mu} has a square past the float range (float range limit)"
+        )
     return CovMat(
         np.array([[mu, 0.0, c, 0.0], [0.0, mu, 0.0, -c], [c, 0.0, mu, 0.0], [0.0, -c, 0.0, mu]])
     )
@@ -381,7 +409,9 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
     if float(np.abs(_times_omega(s) @ s.T - omega).max()) > bound:
         raise DomainError("matrix is not symplectic")
-    return CovMat(_congruence(state.entries, s, idx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _congruence(state.entries, s, idx)
+    return _result(out, "symplectic update")
 
 
 def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> CovMat:
@@ -405,4 +435,6 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     idx = _quadratures([k for k in range(state.n_modes) if k != measured_mode], state.n_modes)
     a = state.entries[idx][:, idx]
     c = state.entries[idx, col]
-    return CovMat(a - np.outer(c, c) / v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a - np.outer(c, c) / v
+    return _result(out, "homodyne update")

@@ -1,14 +1,22 @@
-"""50-digit mpmath oracle for the reverse homodyne-protocol rate.
+"""mpmath oracles for the finite-squeezing engines.
 
-The state is built from the channel parameters and the source variance as
-given, not from the engine's rounded arrays: the two-mode squeezed vacuum
-(A, B) with cross block sqrt(mu^2 - 1) Z, the channel's covariance action on
-B, a vacuum port D, and Bob's balanced beam splitter on (B', D).  The
-eavesdropper's entropies are those of the modes complementary to hers (the
-global state is pure, and stays pure given Bob's outcome), so every entropy
-is of a one- or two-mode state and comes from sqrt(det V) or from the
-two-mode invariants Delta and det V.
+Each state is built from the channel parameters and the source variance as
+given, not from the engines' rounded arrays: the two-mode squeezed vacuum
+(A, B) with cross block sqrt(mu^2 - 1) Z, and the channel's covariance
+action on B.  Every entropy is of a one- or two-mode state and comes from
+sqrt(det V) or from the two-mode invariants Delta and det V.
+
+* ``rci`` and ``ci``: S(A) - S(A B') and S(B') - S(A B').  The quadratic in
+  Delta and det V gives nu_-^2 = (Delta - sqrt(Delta^2 - 4 det V)) / 2, which
+  cancels about 2 log10(nu_+ / nu_-) digits, so the working precision is 60
+  digits plus twice the decimal exponent of the largest entry.
+* ``protocol_rate`` (50 digits): a vacuum port D and Bob's balanced beam
+  splitter on (B', D) follow.  The eavesdropper's entropies are those of the
+  modes complementary to hers (the global state is pure, and stays pure
+  given Bob's outcome).
 """
+
+import math
 
 from mpmath import mp
 
@@ -48,27 +56,46 @@ def _condition(v, col, keep):
     )
 
 
+def _output(tau, nbar, mu):
+    """(A, B'): arm B of the two-mode squeezed vacuum sent through the channel.
+
+    X = sqrt|tau| I (tau >= 0) or sqrt|tau| Z (tau < 0) turns the cross block
+    c Z into sqrt|tau| c Z or sqrt|tau| c I, and B's block into
+    |tau| mu + |1 - tau| (2 nbar + 1) times I.
+    """
+    cross = mp.sqrt(abs(tau) * (mu * mu - 1))
+    out = abs(tau) * mu + abs(1 - tau) * (2 * nbar + 1)
+    v = mp.diag([mu, mu, out, out])
+    v[0, 2] = v[2, 0] = cross
+    v[1, 3] = v[3, 1] = -cross if tau >= 0 else cross
+    return v
+
+
+def _coherent_information(tau, nbar, mu, kept):
+    scale = max(float(mu), abs(tau) * float(mu) + abs(1 - tau) * (2 * float(nbar) + 1))
+    with mp.workdps(60 + 2 * int(math.log10(scale) + 1)):
+        joint = _output(mp.mpf(tau), mp.mpf(nbar), mp.mpf(mu))
+        return _entropy(_sub(joint, _quads((kept,)))) - _entropy(joint)
+
+
+def rci(tau, nbar, mu):
+    """Reverse coherent information S(A) - S(A B') at (tau, nbar, mu), in bits, as an mpf."""
+    return _coherent_information(tau, nbar, mu, 0)
+
+
+def ci(tau, nbar, mu):
+    """Coherent information S(B') - S(A B') at (tau, nbar, mu), in bits, as an mpf."""
+    return _coherent_information(tau, nbar, mu, 1)
+
+
 def protocol_rate(tau, nbar, mu, port_model="trusted", basis="q"):
     """I(x_A : y) - chi(E : y) at (tau, nbar, mu), in bits, as an mpf."""
     with mp.workdps(DIGITS):
-        tau, nbar, mu = mp.mpf(tau), mp.mpf(nbar), mp.mpf(mu)
-        c = mp.sqrt(mu * mu - 1)
-        z = mp.diag([1, -1])
-        x = mp.sqrt(tau) * mp.eye(2) if tau >= 0 else mp.sqrt(-tau) * z
-        y = abs(1 - tau) * (2 * nbar + 1)
-        v = mp.zeros(6, 6)  # (A, B', D): the source, then the vacuum port
-        for i in range(6):
-            v[i, i] = mu if i < 4 else 1
-        for i in (0, 1):
-            v[i, 2 + i] = v[2 + i, i] = c * z[i, i]
-        s = mp.eye(6)  # the channel on B', as V -> X V X^T + Y
-        for i in (0, 1):
-            for j in (0, 1):
-                s[2 + i, 2 + j] = x[i, j]
-        v = s * v * s.T
-        for i in (2, 3):
-            v[i, i] += y
-        joint = _sub(v, _quads((0, 1)))
+        joint = _output(mp.mpf(tau), mp.mpf(nbar), mp.mpf(mu))
+        v = mp.eye(6)  # (A, B', D): the channel output, then the vacuum port
+        for i in range(4):
+            for j in range(4):
+                v[i, j] = joint[i, j]
         h = 1 / mp.sqrt(2)  # Bob's balanced beam splitter on (B', D)
         s = mp.eye(6)
         for i in (0, 1):
@@ -84,4 +111,3 @@ def protocol_rate(tau, nbar, mu, port_model="trusted", basis="q"):
         else:  # S(E D) = S(A B), S(E D | y) = S(A | y)
             chi = _entropy(_sub(v, _quads((0, 1)))) - _entropy(_condition(v, col, (0,)))
         return mi - chi
-

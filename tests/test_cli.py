@@ -138,7 +138,7 @@ def test_converge_rejects_malformed_mu_list():
 
 def test_converge_protocol_engine_domain_error():
     result = _run(
-        ["converge", "--tau", "0.5", "--nbar", "0", "--mu-list", "1", "--engine", "protocol"]
+        ["converge", "--tau", "0.5", "--nbar", "0", "--mu-list", "0.5", "--engine", "protocol"]
     )
     assert result.exit_code == 1
     assert "--mu-list" in result.stderr
@@ -447,9 +447,22 @@ def test_verify_rejects_non_finite_mu_without_a_warning(mu):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == (
-        "error: --tau/--mu: mu must exceed 1.000000001 for stable conditioning "
-        f"and be finite, got {mu}\n"
+        f"error: --tau/--mu: source variance mu must be >= 1 and finite, got {mu}\n"
     )
+
+
+def test_verify_reports_float_range_overflow_without_a_warning():
+    # The homodyne update squares entries of 5e159: a numpy RuntimeWarning
+    # once came before "covariance matrix has non-finite entries".
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskey.__file__).resolve().parents[1])}
+    args = ["verify", "--tau", "0.5", "--nbar", "1e160", "--mu", "10", "--ports", "trusted"]
+    out = subprocess.run([sys.executable, "-m", "gausskey.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: --tau/--mu: ")
+    assert out.stderr.endswith("(float range limit)\n")
+    assert out.stderr.count("\n") == 1
 
 
 def test_rates_json_key_order():

@@ -47,6 +47,9 @@ def test_vacuum_source_gives_zero_information():
     ch = make_canonical(0.5, nbar=0.0)
     assert rci_finite_mu(ch, 1.0) == 0.0
     assert ci_finite_mu(ch, 1.0) == 0.0
+    for port_model in ("trusted", "untrusted"):
+        assert protocol_rate_numeric(ch, 1.0, port_model) == 0.0
+        assert protocol_holevo_information(ch, 1.0, port_model) == 0.0
 
 
 def test_rci_converges_to_reverse_interior():
@@ -168,12 +171,6 @@ def test_protocol_state_is_pure_and_balanced():
             s_eve = von_neumann_entropy(partial_trace(state, eve))
             s_rest = von_neumann_entropy(partial_trace(state, rest))
             assert abs(s_eve - s_rest) <= 1e-9
-
-
-def test_protocol_rejects_degenerate_source():
-    ch = make_canonical(0.5, nbar=0.0)
-    with pytest.raises(DomainError, match="mu must exceed"):
-        protocol_rate_numeric(ch, 1.0)
 
 
 @pytest.mark.parametrize(

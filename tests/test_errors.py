@@ -292,7 +292,7 @@ def test_whole_float_counts_stay_accepted():
     "call, error",
     [
         (lambda: gk.CovMat(np.diag([0.5, 0.5])), InvalidStateError),
-        (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.0), 1.0), DomainError),
+        (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.0), 0.5), DomainError),
         (lambda: gk.dilate(gk.make_canonical(-0.5, nbar=0.0)), UnsupportedChannelError),
         (lambda: gk.simulate(_sim(rounds=1)), EmptyStatisticsError),
     ],

@@ -1,4 +1,4 @@
-"""Independent oracles: a 50-digit protocol rate, the PLOB bounds and the
+"""Independent oracles: mpmath engine values, the PLOB bounds and the
 entanglement-breaking boundary.
 
 None of them shares code with ``rates.py`` or the engines.  The PLOB bounds
@@ -104,3 +104,34 @@ def test_protocol_rate_matches_the_mpmath_oracle_at_high_gain(port_model):
     exact = protocol_rate(30.0, 10.0, 1e6, port_model)
     value = gk.protocol_rate_numeric(gk.make_canonical(30.0, nbar=10.0), 1e6, port_model)
     assert abs(value - float(exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("port_model", gk.PORT_MODELS)
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_protocol_rate_matches_the_mpmath_oracle_near_vacuum(tau, port_model):
+    # The engine takes every mu that tmsv takes; mu = 1 sends vacuum.  Worst
+    # case over this grid: 8.6e-13 bits (tau 30, nbar 10, mu 1 + 1e-9, trusted).
+    pytest.importorskip("mpmath")
+    from mp_oracle import protocol_rate
+
+    for nbar in (0.0, 0.1, 10.0):
+        ch = gk.make_canonical(tau, nbar=nbar)
+        for mu in (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.5):
+            exact = protocol_rate(tau, nbar, mu, port_model)
+            value = gk.protocol_rate_numeric(ch, mu, port_model=port_model)
+            assert abs(value - float(exact)) <= 1e-11, (nbar, mu)
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_coherent_information_matches_the_mpmath_oracle(tau):
+    # Worst case over this grid: 3.3e-10 bits at nbar <= 10 (tau 0.9, nbar 0,
+    # mu 1e4), 5.7e-14 bits beyond.  Taking nu_- as (|a| - |b|) / 2 put the
+    # engines 9e-4 bits off at nbar 1e13 and 14 bits off from nbar 1e20.
+    pytest.importorskip("mpmath")
+    from mp_oracle import ci, rci
+
+    for nbar in (0.0, 0.1, 10.0, 1e6, 1e13, 1e20, 1e100):
+        ch = gk.make_canonical(tau, nbar=nbar)
+        for mu in (1.0, 10.0, 1e2, 1e4):
+            assert abs(gk.rci_finite_mu(ch, mu) - float(rci(tau, nbar, mu))) <= 1e-9, (nbar, mu)
+            assert abs(gk.ci_finite_mu(ch, mu) - float(ci(tau, nbar, mu))) <= 1e-9, (nbar, mu)

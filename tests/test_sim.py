@@ -93,6 +93,14 @@ def test_mutual_information_rejects_degenerate_moments():
         gaussian_mutual_information(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(DomainError, match="covariance"):
         gaussian_mutual_information(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    # nan and 0.0 were returned for these, and inf/nan standard errors or a
+    # bare ValueError (math domain error)
+    for cov in ([[math.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]):
+        with pytest.raises(DomainError, match="covariance"):
+            gaussian_mutual_information(np.array(cov))
+    for cov in ([[math.inf, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(DomainError, match="covariance"):
+            moment_standard_errors(np.array(cov), 100)
 
 
 def test_simulate_is_deterministic_in_config():

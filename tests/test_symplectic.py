@@ -485,6 +485,13 @@ def test_large_two_mode_spectra_come_from_the_scaled_array():
     assert gk.CovMat(v)._nu == pytest.approx((0.7 * big, 0.1 * big), rel=1e-14)
 
 
+def test_mixed_scale_two_mode_spectra_keep_the_smaller_eigenvalue():
+    # nu_- = det L / nu_+: (|a| - |b|) / 2 read 0 (clamped to 1) for the
+    # first state, and the product of the four pivots overflows for the second
+    assert gk.tensor(gk.thermal(1e20), gk.thermal(3.0))._nu == pytest.approx((1e20, 3.0), rel=1e-15)
+    assert gk.tensor(gk.thermal(1e160), gk.thermal(1e160))._nu == (1e160, 1e160)
+
+
 @pytest.mark.parametrize("n_modes", [2, 3])
 def test_spectrum_past_the_float_range_is_a_numeric_error(n_modes):
     big = sys.float_info.max
@@ -493,6 +500,39 @@ def test_spectrum_past_the_float_range_is_a_numeric_error(n_modes):
     v[:4, :4] = [[m, 0, c, 0], [0, m, 0, c], [c, 0, m, 0], [0, c, 0, m]]
     with pytest.raises(NumericError, match="float range limit") as info:
         gk.CovMat(v)
+    assert info.value.field is None
+
+
+def test_representable_operation_results_stay_finite():
+    # 0.5 * (out + out.T) overflowed past half the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gk.apply_channel(gk.thermal(1.7e308), gk.make_canonical(0.9, nbar=0.0))
+    assert out._nu == pytest.approx((0.9 * 1.7e308 + 0.1,), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gk.apply_channel(gk.thermal(1e308), gk.make_canonical(2.0, nbar=0.1)),
+        lambda: gk.apply_symplectic(
+            gk.tensor(gk.thermal(1e308), gk.vacuum(1)), gk.two_mode_squeezer(10.0), (0, 1)
+        ),
+        lambda: gk.homodyne_condition(
+            gk.CovMat(np.kron([[1e160, 5e159], [5e159, 1e160]], np.eye(2))), 1, "q"
+        ),
+        lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=1e160), 10.0),
+        lambda: gk.tmsv(1e155),
+    ],
+    ids=["channel", "squeezer", "homodyne", "protocol", "tmsv"],
+)
+def test_operation_results_past_the_float_range_are_numeric_errors(call):
+    # They overflowed with a numpy RuntimeWarning and were refused as
+    # InvalidStateError ("non-finite entries").
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="float range limit") as info:
+            call()
     assert info.value.field is None
 
 

@@ -446,3 +446,16 @@ def test_classify_consistent_with_threshold():
     eps_star = threshold_eps("e_r", 0.7)
     assert classify(0.7, eps_star - 1e-3).e_r_positive
     assert not classify(0.7, eps_star + 1e-3).e_r_positive
+    # Every row sits where classify flips, for all three rates: positive just
+    # below a positive threshold, and nowhere at or above it.
+    curve = sweep(-3.0, 3.0, 3001)
+    tol = curve.tolerance
+    flags = (("eps_q", "q1g_positive"), ("eps_r", "e_r_positive"), ("eps_rev", "r_rev_positive"))
+    for row in curve.rows:
+        for column, flag in flags:
+            eps_star = getattr(row, column)
+            if eps_star == 0.0:
+                assert not getattr(classify(row.tau, 0.0), flag), (row.tau, flag)
+            else:
+                assert getattr(classify(row.tau, eps_star - tol), flag), (row.tau, flag)
+                assert not getattr(classify(row.tau, eps_star + tol), flag), (row.tau, flag)
