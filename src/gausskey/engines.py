@@ -5,19 +5,18 @@ Two entropy engines send one arm of a two-mode squeezed vacuum of variance
 spectra; both converge to the matching closed-form interior as mu grows (the
 gap scales like 1/mu).  Every engine takes any ``mu`` that ``tmsv`` takes.
 
-A third engine rebuilds the reverse homodyne-protocol rate.  Bob's balanced
-beam splitter mixes the channel output B' with a vacuum port, giving the
-three-mode state (A, B, D): Alice's retained source arm, Bob's kept
-(homodyned) port and his discarded port.  The rate is the Gaussian mutual
-information between matched homodyne outcomes on A and B minus the
-eavesdropper's Holevo information about Bob's outcome y, both read from one
-homodyne update of (A, B, D).  Her environment E purifies (A, B, D), and
-(A, D, E) stays pure given y, so each of her entropies is that of the
-complementary modes: no dilation is built, and every channel class is
-covered.  The ``"trusted"`` port model keeps D from her (the detection noise
-is trusted: S(E) = S(A B'), S(E | y) = S(A D | y)) and is the one that
-converges to the closed-form ``r_rev``; ``"untrusted"`` grants it to her
-(S(E D) = S(A B), S(E D | y) = S(A | y)).
+A third engine rebuilds the reverse homodyne-protocol rate: the Gaussian
+mutual information of matched homodyne outcomes on Alice's retained source
+arm A and Bob's kept port B, minus the eavesdropper's Holevo information chi
+about Bob's outcome y.  Bob's balanced beam splitter mixes the channel output
+B' with a vacuum port into B and a discarded port D.  Her environment E
+purifies (A, B, D), and (A, D, E) stays pure given y, so each of her
+entropies is that of the complementary modes: no dilation is built, and
+every channel class is covered.  The ``"trusted"`` port model keeps D from
+her (S(E) = S(A B'), S(E | y) = S(A D | y) from the three-mode (A, B, D)) and
+converges to the closed-form ``r_rev``.  ``"untrusted"`` grants D to her
+(S(E D) = S(A B), S(E D | y) = S(A | y)); D traced out of the beam splitter
+leaves the pure-loss channel of transmissivity 1/2, so (A, B) is two modes.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ PORT_MODELS = ("trusted", "untrusted")
 # bound is crossed between mu = 1e10 and 1e12; mu = 1e16 would give 0.381
 # bits against a closed form of 0.263).
 _MAX_MI_ROUNDING_BITS = 1e-6
+_HALF_LOSS = CanonicalChannel(0.5, 0.0)  # Bob's beam splitter with D traced out
 
 
 def rci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
@@ -86,19 +86,14 @@ def _protocol_state(ch: CanonicalChannel, mu: float) -> tuple[CovMat, CovMat]:
 
 
 def _conditioned(ch: CanonicalChannel, mu: float, port_model: str, basis: str) -> tuple:
-    """Channel output (A, B'), the state (A, B, D) and its modes (A, D) given Bob's outcome y."""
+    """Eve's complement before and after y: (A, B'), (A, D)|y trusted; (A, B), A|y untrusted."""
     _choice(port_model, PORT_MODELS, "port_model")
     _choice(basis, ("q", "p"), "basis")
-    joint, state = _protocol_state(ch, mu)
-    return joint, state, homodyne_condition(state, measured_mode=1, quadrature=basis)
-
-
-def _holevo(joint: CovMat, state: CovMat, conditioned: CovMat, port_model: str) -> float:
-    if port_model == "trusted":  # S(E) = S(A B'), S(E | y) = S(A D | y)
-        return von_neumann_entropy(joint) - von_neumann_entropy(conditioned)
-    # S(E D) = S(A B), S(E D | y) = S(A | y)
-    before = von_neumann_entropy(partial_trace(state, (0, 1)))
-    return before - von_neumann_entropy(partial_trace(conditioned, (0,)))
+    if port_model == "trusted":
+        before, state = _protocol_state(ch, mu)
+    else:
+        before = state = apply_channel(apply_channel(tmsv(mu), ch, mode=1), _HALF_LOSS, mode=1)
+    return before, homodyne_condition(state, measured_mode=1, quadrature=basis)
 
 
 def protocol_holevo_information(
@@ -106,10 +101,12 @@ def protocol_holevo_information(
 ) -> float:
     """Holevo information chi(E : y) = S(E) - S(E | y) about Bob's outcome.
 
-    Conditioning uses the outcome-independent homodyne update, so this is the
-    exact Gaussian Holevo quantity, not a sampled estimate.
+    Both port models read it from the modes complementary to Eve and their
+    outcome-independent homodyne update, so this is the exact Gaussian
+    Holevo quantity, not a sampled estimate.
     """
-    return _holevo(*_conditioned(ch, mu, port_model, basis), port_model)
+    before, after = _conditioned(ch, mu, port_model, basis)
+    return von_neumann_entropy(before) - von_neumann_entropy(after)
 
 
 def protocol_rate_numeric(
@@ -117,15 +114,15 @@ def protocol_rate_numeric(
 ) -> float:
     """Reverse homodyne-protocol rate I(x_A : y) - chi(E : y) at finite ``mu``.
 
-    The mutual information (1/2) log2(V_A / V_{A|y}) reads V_{A|y} from the
-    homodyne update.  V_{A|y} = V_A - c^2 / V_y loses digits as mu grows, so
-    this raises :class:`NumericError` (float precision limit) once that
-    rounding could move the rate by more than 1e-6 bits.  Results in the q
-    and p bases agree to float noise.
+    The mutual information (1/2) log2(V_A / V_{A|y}) reads V_A and V_{A|y}
+    from mode 0 of the two states chi is read from.  V_{A|y} = V_A - c^2 / V_y
+    loses digits as mu grows, so this raises :class:`NumericError` (float
+    precision limit) once that rounding could move the rate by more than
+    1e-6 bits.  Results in the q and p bases agree to float noise.
     """
-    joint, state, conditioned = _conditioned(ch, mu, port_model, basis)
+    before, after = _conditioned(ch, mu, port_model, basis)
     row = 0 if basis == "q" else 1
-    va, cond = float(state.entries[row, row]), float(conditioned.entries[row, row])
+    va, cond = float(before.entries[row, row]), float(after.entries[row, row])
     rounding = math.ulp(1.0) * va / cond if 0.0 < cond < math.inf else math.inf
     if rounding > _MAX_MI_ROUNDING_BITS:
         raise NumericError(
@@ -133,7 +130,8 @@ def protocol_rate_numeric(
             f"against V_A = {va}: rounding error above {_MAX_MI_ROUNDING_BITS} bits "
             "(float precision limit)"
         )
-    return 0.5 * math.log2(va / cond) - _holevo(joint, state, conditioned, port_model)
+    chi = von_neumann_entropy(before) - von_neumann_entropy(after)
+    return 0.5 * math.log2(va / cond) - chi
 
 
 @dataclass(frozen=True)

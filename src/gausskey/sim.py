@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyStatisticsError, NumericError
-from .errors import _choice, _count, _shown, _whole
+from .errors import _choice, _count, _float, _shown, _whole
 from .rates import CanonicalChannel
 from .symplectic import _variance
 
@@ -155,19 +155,27 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
     return np.array([[mu, c], [c, vb]])
 
 
-def _moments(cov: np.ndarray, conditional: bool) -> tuple[float, float, float]:
-    """(V_A, V_B, c) of a 2x2 moment matrix whose entries are finite and variances positive.
+def _moments(cov, conditional: bool) -> tuple[float, float, float, float]:
+    """(V_A, V_B, c, s): a real 2x2 moment matrix's entries divided by s.
 
-    With ``conditional``, V_A|B = V_A - c^2 / V_B must be positive too;
-    otherwise raise :class:`DomainError`.
+    s is the power of four that brings the largest entry into [1/2, 4), so
+    no product of two entries overflows or underflows, and power-of-two
+    scaling is exact.  Entries must be finite and the variances positive;
+    with ``conditional``, V_A|B = V_A - c^2 / V_B must be positive too.
+    Anything else, including any shape but 2x2, raises :class:`DomainError`.
     """
-    va = float(cov[0, 0])
-    vb = float(cov[1, 1])
-    c = float(cov[0, 1])
+    try:
+        (va, c), (_, vb) = cov
+    except (TypeError, ValueError):  # not a 2x2 array-like
+        va = vb = c = math.nan
+    va, vb, c = _float(va), _float(vb), _float(c)
     valid = 0.0 < va < math.inf and 0.0 < vb < math.inf and abs(c) < math.inf
+    peak = math.frexp(max(va, vb, abs(c)))[1] if valid else 0  # binary exponent
+    scale = math.ldexp(1.0, 2 * min(peak // 2, 511))
+    va, vb, c = va / scale, vb / scale, c / scale
     if not (valid and (not conditional or va - c * c / vb > 0.0)):
-        raise DomainError("moment matrix is not a valid nondegenerate covariance")
-    return va, vb, c
+        raise DomainError("moment matrix is not a valid nondegenerate real 2x2 covariance")
+    return va, vb, c, scale
 
 
 def gaussian_mutual_information(cov: np.ndarray) -> float:
@@ -177,7 +185,7 @@ def gaussian_mutual_information(cov: np.ndarray) -> float:
     catastrophic cancellation of the determinant form at strong correlation.
     Entries must be finite, and V_A, V_B and V_{A|B} positive.
     """
-    va, vb, c = _moments(cov, conditional=True)
+    va, vb, c, _ = _moments(cov, conditional=True)
     return 0.5 * math.log2(va / (va - c * c / vb))
 
 
@@ -347,12 +355,12 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
     and the variances positive.
     """
     k = _count(kept_rounds, 2, "kept_rounds") - 1.0
-    va, vb, c = _moments(cov, conditional=False)
-    off = math.sqrt((va * vb + c * c) / k)
+    va, vb, c, scale = _moments(cov, conditional=False)
+    off = math.sqrt((va * vb + c * c) / k) * scale
     return np.array(
         [
-            [va * math.sqrt(2.0 / k), off],
-            [off, vb * math.sqrt(2.0 / k)],
+            [va * math.sqrt(2.0 / k) * scale, off],
+            [off, vb * math.sqrt(2.0 / k) * scale],
         ]
     )
 

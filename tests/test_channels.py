@@ -103,6 +103,35 @@ def test_apply_channel_preserves_validity_on_random_grid():
         count += 1
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_balanced_splitter_with_its_output_port_traced_out_is_pure_loss(n_modes):
+    # A vacuum port mixed in by a beam splitter of transmissivity 1/2 and then
+    # discarded leaves the pure-loss channel of tau = 1/2 on the mixed mode;
+    # the untrusted-port protocol engine builds only that channel's output.
+    rng = np.random.default_rng(25 + n_modes)
+    half_loss = gk.make_canonical(0.5, nbar=0.0)
+    for _ in range(20):
+        state, _ = random_state(rng, n_modes)
+        rest = tuple(range(n_modes))
+        for k in rest:
+            split = gk.apply_symplectic(
+                gk.tensor(state, gk.vacuum(1)), gk.beam_splitter(0.5), (k, n_modes)
+            )
+            direct = gk.apply_channel(state, half_loss, mode=k)
+            ulp = np.spacing(np.abs(direct.entries).max())
+            assert np.abs(gk.partial_trace(split, rest).entries - direct.entries).max() <= 4 * ulp
+            if n_modes == 1:
+                continue
+            # tracing the port out before or after homodyning mode k
+            for quadrature in ("q", "p"):
+                after = gk.partial_trace(
+                    gk.homodyne_condition(split, k, quadrature), tuple(range(n_modes - 1))
+                )
+                before = gk.homodyne_condition(direct, k, quadrature)
+                ulp = np.spacing(np.abs(before.entries).max())
+                assert np.abs(after.entries - before.entries).max() <= 4 * ulp
+
+
 def test_dilate_couplings():
     att = gk.dilate(gk.make_canonical(0.6, nbar=0.2))
     np.testing.assert_allclose(att.coupling, gk.beam_splitter(0.6), atol=1e-15)

@@ -201,14 +201,27 @@ def test_protocol_rate_refuses_cancelled_conditional_variance():
 
 
 @pytest.mark.parametrize(
-    "engine, calls, warm_calls",
-    [(rci_finite_mu, 3, 2), (ci_finite_mu, 3, 2), (protocol_rate_numeric, 6, 4)],
-    ids=["rci_finite_mu-3", "ci_finite_mu-3", "protocol_rate_numeric-6"],
+    "engine, port_model, calls, warm_calls, largest",
+    [
+        (rci_finite_mu, None, 3, 2, (4, 4)),
+        (ci_finite_mu, None, 3, 2, (4, 4)),
+        (protocol_rate_numeric, "trusted", 6, 4, (6, 6)),
+        (protocol_rate_numeric, "untrusted", 4, 3, (4, 4)),
+    ],
+    ids=[
+        "rci_finite_mu-3",
+        "ci_finite_mu-3",
+        "protocol_rate_numeric-6",
+        "protocol_rate_numeric-untrusted-4",
+    ],
 )
-def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls, warm_calls):
-    # The first call builds the source states (tmsv, and for the protocol
-    # engine the vacuum port); the second reuses them.  No engine state has
-    # more than three modes.
+def test_engine_diagonalises_each_state_once(
+    monkeypatch, engine, port_model, calls, warm_calls, largest
+):
+    # The first call builds the source states (tmsv, and for the trusted
+    # protocol port the vacuum port); the second reuses them.  Only the
+    # trusted port builds a three-mode state; the untrusted port's states
+    # (A, B'), (A, B) and A | y all take the closed-form spectra.
     gausskey.symplectic._tmsv.cache_clear()
     gausskey.symplectic._vacuum.cache_clear()
     seen = []
@@ -218,13 +231,21 @@ def test_engine_diagonalises_each_state_once(monkeypatch, engine, calls, warm_ca
         seen.append(m.shape)
         return spectrum(m)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
     monkeypatch.setattr(gausskey.symplectic, "_symplectic_eigenvalues", counting)
-    engine(make_canonical(0.5, nbar=0.1), 100.0)
+    if largest == (4, 4):  # every spectrum from a closed form
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    args = (make_canonical(0.5, nbar=0.1), 100.0) + ((port_model,) if port_model else ())
+    engine(*args)
     assert len(seen) == calls
-    assert max(seen) <= (6, 6)
+    assert max(seen) == largest
     seen.clear()
-    engine(make_canonical(0.5, nbar=0.1), 100.0)
+    engine(*args)
     assert len(seen) == warm_calls
+    assert max(seen) == largest
 
 
 def test_engine_argument_validation():

@@ -103,6 +103,65 @@ def test_mutual_information_rejects_degenerate_moments():
             moment_standard_errors(np.array(cov), 100)
 
 
+@pytest.mark.parametrize(
+    "cov",
+    [
+        [[2.0, 1.0], [1.0, 3.0]],
+        ((2, 1), (1, 3)),
+        np.array([[2, 1], [1, 3]], dtype=np.int64),
+        [[np.float32(2.0), 1], [1, 3.0]],
+    ],
+    ids=["list", "int-tuple", "int-array", "numpy-scalars"],
+)
+def test_moment_matrix_takes_any_real_2x2_array_like(cov):
+    want = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert gaussian_mutual_information(cov) == gaussian_mutual_information(want)
+    assert np.array_equal(moment_standard_errors(cov, 50), moment_standard_errors(want, 50))
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        [[2.0, 1.0], [1.0, 3.0], [0.0, 0.0]],  # nested list of the wrong shape: was TypeError
+        np.array([2.0, 1.0]),  # 1-D: was IndexError
+        "2113",  # was TypeError
+        np.eye(3),  # 3x3: was the top-left block's value
+        np.ones((2, 2, 2)),
+        np.eye(2)[:, :1],
+        None,
+        [[2.0, 1.0], [1.0, 3.0j]],
+        [["2", "1"], ["1", "x"]],
+    ],
+    ids=["3x2-list", "1-d", "str", "3x3", "2x2x2", "2x1", "none", "complex", "strings"],
+)
+def test_moment_matrix_refuses_other_shapes_and_types(cov):
+    with pytest.raises(DomainError, match="real 2x2 covariance"):
+        gaussian_mutual_information(cov)
+    with pytest.raises(DomainError, match="real 2x2 covariance"):
+        moment_standard_errors(cov, 50)
+
+
+@pytest.mark.parametrize("power", [-1070, -1000, -600, 600, 1000, 1020])
+def test_moment_statistics_are_exact_under_power_of_two_scaling(power):
+    # The entries are rescaled by a power of four before any product, so a
+    # power-of-two scale moves no statistic a bit; at 2**600 the products of
+    # two entries overflowed (DomainError, inf standard errors) and at 2**-600
+    # they underflowed.
+    cov = np.array([[1.0, 0.125], [0.125, 1.5]])
+    scaled = cov * 2.0**power
+    assert gaussian_mutual_information(scaled) == gaussian_mutual_information(cov)
+    se = moment_standard_errors(scaled, 100)
+    assert np.array_equal(se, moment_standard_errors(cov, 100) * 2.0**power)
+
+
+def test_moment_statistics_of_large_variances_stay_finite():
+    big = np.array([[1e200, 1e199], [1e199, 1e200]])
+    assert gaussian_mutual_information(big) == pytest.approx(-0.5 * math.log2(0.99), rel=1e-14)
+    se = moment_standard_errors(np.diag([1e200, 1e200]), 100)
+    assert np.isfinite(se).all()
+    assert se[0, 1] == pytest.approx(1e200 / math.sqrt(99.0), rel=1e-15)
+
+
 def test_simulate_is_deterministic_in_config():
     cfg = SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=2000, seed=123, mode="sifted")
     first = simulate(cfg)
