@@ -30,7 +30,6 @@ from .errors import UnsupportedChannelError
 from .rates import CanonicalChannel, make_canonical
 from .symplectic import (
     CovMat,
-    _congruence,
     _quadratures,
     _result,
     apply_symplectic,
@@ -47,29 +46,26 @@ __all__ = [
     "apply_dilation",
 ]
 
-I2 = np.eye(2)
-Z2 = np.diag([1.0, -1.0])
-
-
-def _channel_x(ch: CanonicalChannel) -> np.ndarray:
-    if ch.tau > 0.0:
-        return math.sqrt(ch.tau) * I2
-    if ch.tau == 0.0:
-        return np.zeros((2, 2))
-    return math.sqrt(-ch.tau) * Z2
-
-
 def apply_channel(state: CovMat, ch: CanonicalChannel, mode: int = 0) -> CovMat:
     """Send one mode of ``state`` through the channel (covariance action).
 
-    The targeted 2x2 diagonal block becomes X B X^T + Y and every cross block
-    with the other modes is multiplied by X^T on the channel side.
+    X is sqrt|tau| times I2, or times diag(1, -1) for tau < 0, so
+    X V X^T + Y is a diagonal update in Python floats: the mode's two rows
+    and two columns are scaled by sqrt|tau| (the p row and column negated
+    for tau < 0), and |1 - tau| w is added to its two variances.  Every
+    other entry is unchanged, and the result is exactly symmetric.
     """
-    idx = _quadratures([mode], state.n_modes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _congruence(state.entries, _channel_x(ch), idx)
-        out[idx, idx] += abs(1.0 - ch.tau) * ch.w  # Y is a multiple of I2
-    return _result(out, "channel output")
+    q = _quadratures([mode], state.n_modes, "mode")[0]
+    s = math.sqrt(abs(ch.tau))
+    scales = ((q, s), (q + 1, -s if ch.tau < 0.0 else s))
+    rows = state.entries.tolist()
+    for j, f in scales:  # columns first: V X^T
+        for r in rows:
+            r[j] *= f
+    for j, f in scales:  # then rows: X (V X^T), and Y on the diagonal
+        rows[j] = [f * x for x in rows[j]]
+        rows[j][j] += abs(1.0 - ch.tau) * ch.w
+    return _result(rows, "channel output")
 
 
 @dataclass(frozen=True)
@@ -113,6 +109,7 @@ def apply_dilation(
     environment back out reproduces :func:`apply_channel` on the input.
     """
     n = state.n_modes
+    _quadratures([mode], n, "mode")  # a mode of the input, not of the environment
     joint = tensor(state, dilation.environment)
     out = apply_symplectic(joint, dilation.coupling, (mode, n))
     return out, (n, n + 1)

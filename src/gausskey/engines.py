@@ -60,6 +60,7 @@ PORT_MODELS = ("trusted", "untrusted")
 # bound is crossed between mu = 1e10 and 1e12; mu = 1e16 would give 0.381
 # bits against a closed form of 0.263).
 _MAX_MI_ROUNDING_BITS = 1e-6
+_BALANCED = beam_splitter(0.5)  # Bob's beam splitter on (B', D)
 _HALF_LOSS = CanonicalChannel(0.5, 0.0)  # Bob's beam splitter with D traced out
 
 
@@ -82,7 +83,7 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
 def _protocol_state(ch: CanonicalChannel, mu: float) -> tuple[CovMat, CovMat]:
     """Channel output (A, B') and the state (A, B, D) after Bob's balanced beam splitter."""
     joint = apply_channel(tmsv(mu), ch, mode=1)
-    return joint, apply_symplectic(tensor(joint, vacuum(1)), beam_splitter(0.5), (1, 2))
+    return joint, apply_symplectic(tensor(joint, vacuum(1)), _BALANCED, (1, 2))
 
 
 def _conditioned(ch: CanonicalChannel, mu: float, port_model: str, basis: str) -> tuple:

@@ -9,10 +9,12 @@ check after it refuses.  A count is a whole number that fits a float
 Each refusal is a ``DomainError``.
 
 ``GaussKeyError.field`` names the argument at fault ("nbar"), or two names
-joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig``, threshold
-or ``n_modes`` argument fails its check.  Every other error has ``field``
-None: mode lists, variances outside ``SimConfig``, the engine and homodyne
-choices, ``kept_rounds``, ``entropy_g``, and states an engine built itself.
+joined by "/" ("tau_min/tau_max"), when a channel, ``SimConfig``, threshold,
+``n_modes`` or mode argument fails its check (a mode list names the
+caller's argument: ``keep``, ``modes``, ``measured_mode``, ``mode``, or
+``i``/``j`` in ``mode_block``).  Every other error has ``field`` None:
+variances outside ``SimConfig``, the engine and homodyne choices,
+``kept_rounds``, ``entropy_g``, and states an engine built itself.
 """
 
 import math

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DomainError, EmptyStatisticsError, NumericError
 from .errors import _choice, _count, _float, _shown, _whole
 from .rates import CanonicalChannel
-from .symplectic import _variance
+from .symplectic import SYMMETRY_ATOL, _variance
 
 __all__ = [
     "RNG_DESCRIPTION",
@@ -160,19 +160,25 @@ def _moments(cov, conditional: bool) -> tuple[float, float, float, float]:
 
     s is the power of four that brings the largest entry into [1/2, 4), so
     no product of two entries overflows or underflows, and power-of-two
-    scaling is exact.  Entries must be finite and the variances positive;
-    with ``conditional``, V_A|B = V_A - c^2 / V_B must be positive too.
-    Anything else, including any shape but 2x2, raises :class:`DomainError`.
+    scaling is exact.  Entries must be finite and the variances positive,
+    and the two off-diagonal entries may differ by at most ``SYMMETRY_ATOL``
+    times the largest entry (no vacuum-scale floor: moment matrices may sit
+    far below it); with ``conditional``, V_A|B = V_A - c^2 / V_B must be
+    positive too.  Anything else, including any shape but 2x2, raises
+    :class:`DomainError`.
     """
     try:
-        (va, c), (_, vb) = cov
+        (va, c), (c_t, vb) = cov
     except (TypeError, ValueError):  # not a 2x2 array-like
-        va = vb = c = math.nan
-    va, vb, c = _float(va), _float(vb), _float(c)
-    valid = 0.0 < va < math.inf and 0.0 < vb < math.inf and abs(c) < math.inf
-    peak = math.frexp(max(va, vb, abs(c)))[1] if valid else 0  # binary exponent
+        va = vb = c = c_t = math.nan
+    va, vb, c, c_t = _float(va), _float(vb), _float(c), _float(c_t)
+    valid = 0.0 < va < math.inf and 0.0 < vb < math.inf
+    valid = valid and abs(c) < math.inf and abs(c_t) < math.inf
+    peak = math.frexp(max(va, vb, abs(c), abs(c_t)))[1] if valid else 0  # binary exponent
     scale = math.ldexp(1.0, 2 * min(peak // 2, 511))
-    va, vb, c = va / scale, vb / scale, c / scale
+    va, vb, c, c_t = va / scale, vb / scale, c / scale, c_t / scale
+    if valid and abs(c - c_t) > SYMMETRY_ATOL * max(va, vb, abs(c), abs(c_t)):
+        raise DomainError("moment matrix is not symmetric")
     if not (valid and (not conditional or va - c * c / vb > 0.0)):
         raise DomainError("moment matrix is not a valid nondegenerate real 2x2 covariance")
     return va, vb, c, scale

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,38 +204,31 @@ def _variance(v: float, what: str, field: str | None = None) -> float:
     return x
 
 
-def _quadratures(modes, n_modes: int) -> np.ndarray:
-    """Quadrature indices (2k, 2k + 1) of ``modes``: distinct whole numbers in range(n_modes)."""
+def _quadratures(modes, n_modes: int, field: str) -> list[int]:
+    """Quadrature indices (2k, 2k + 1) of ``modes``: distinct whole numbers in range(n_modes).
+
+    A refusal names ``field``, the caller's argument.
+    """
     try:
-        ks = [int(k) if _whole(k) else -1 for k in modes]
+        ks = [k if type(k) is int else int(k) if _whole(k) else -1 for k in modes]
     except TypeError:  # not iterable
         ks = []
     if not ks or len(set(ks)) != len(ks) or min(ks) < 0 or max(ks) >= n_modes:
-        raise DomainError(f"invalid mode list {_shown(modes)} for {n_modes} modes")
-    return np.array([j for k in ks for j in (2 * k, 2 * k + 1)])
+        raise DomainError(f"invalid mode list {_shown(modes)} for {n_modes} modes", field=field)
+    return [j for k in ks for j in (2 * k, 2 * k + 1)]
 
 
-def _congruence(v: np.ndarray, s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """New array S V S^T for S acting on quadratures ``idx``; only their rows and columns change.
-
-    The result is symmetrised: rounding in a strongly squeezing S can leave
-    more asymmetry than :class:`CovMat` accepts in its input.  Halving before
-    the sum keeps every representable entry finite.  Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")`` and pass the array to
-    :func:`_result`.
-    """
-    out = v.copy()
-    out[idx] = s @ v[idx]
-    out[:, idx] = out[:, idx] @ s.T
-    out *= 0.5
-    return out + out.T
+@functools.lru_cache(maxsize=16)
+def _transposed(size: int) -> tuple[int, ...]:
+    """Positions that read a row-major size x size list column by column."""
+    return tuple(j * size + i for i in range(size) for j in range(size))
 
 
-def _result(out: np.ndarray, what: str) -> CovMat:
-    """``CovMat(out)`` for the new array of an operation on a valid state.
+def _result(out: np.ndarray | list, what: str) -> CovMat:
+    """``CovMat(out)`` for the new entries (array or nested list) of an operation on a valid state.
 
-    Such an array holds inf or NaN only where the arithmetic overflowed, so
-    once :class:`CovMat` refuses it, non-finite entries raise
+    Such entries hold inf or NaN only where the arithmetic overflowed, so
+    once :class:`CovMat` refuses them, non-finite entries raise
     :class:`NumericError` (float range limit) instead.
     """
     try:
@@ -249,8 +243,10 @@ def _result(out: np.ndarray, what: str) -> CovMat:
 class CovMat:
     """Covariance matrix of an n-mode Gaussian state.
 
-    Validated on construction: the array must be 2n x 2n with finite
-    entries, symmetric (within 1e-12 relative to its largest entry),
+    Validated on construction, from one read of the array into Python
+    floats: it must be 2n x 2n with finite entries, symmetric (within
+    1e-12 times max(1, largest entry); an array past half the float
+    maximum is halved first, and the stored array is the symmetrised one),
     positive definite (it has a Cholesky factor; an array too singular for
     one may have no eigenvalue at or below -1e-12 times its largest entry),
     and satisfy the uncertainty relation (every symplectic eigenvalue
@@ -271,18 +267,24 @@ class CovMat:
             raise InvalidStateError(
                 f"covariance matrix must be square 2n x 2n, got shape {m.shape}"
             )
-        peak = float(np.abs(m).max())
-        if not math.isfinite(peak):
+        flat = m.ravel().tolist()  # the one read: every rule below is stated on Python floats
+        if not all(map(math.isfinite, flat)):  # max() would skip a NaN that is not first
             raise InvalidStateError("covariance matrix has non-finite entries")
-        halved = peak > _HALF_MAX  # m +- m.T would overflow: halve first, exact at this scale
+        peak = max(map(abs, flat))
+        halved = peak > _HALF_MAX  # x +- y would overflow: halve first, exact at this scale
         if halved:
-            m, peak = 0.5 * m, 0.5 * peak
-        if float(np.abs(m - m.T).max()) > SYMMETRY_ATOL * max(1.0, peak):
+            flat, peak = [0.5 * x for x in flat], 0.5 * peak
+        flat_t = [flat[k] for k in _transposed(m.shape[0])]
+        # x - y is exactly -(y - x), so the largest difference is the largest |x - y|
+        if max(map(operator.sub, flat, flat_t)) > SYMMETRY_ATOL * max(1.0, peak):
             raise InvalidStateError("covariance matrix is not symmetric")
-        m = m + m.T if halved else 0.5 * (m + m.T)
-        m.flags.writeable = False
+        half = 1.0 if halved else 0.5  # halved entries sum to the mean
+        flat = [half * (x + y) for x, y in zip(flat, flat_t)]
+        a = np.array(flat)
+        a.flags.writeable = False
         # A view of a read-only array can never be made writable again.
-        object.__setattr__(self, "entries", m.view())
+        m = a.reshape(m.shape)
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_nu", _symplectic_eigenvalues(m))
 
     @property
@@ -291,8 +293,9 @@ class CovMat:
 
     def mode_block(self, i: int, j: int) -> np.ndarray:
         """2x2 block coupling modes i and j (i == j gives a mode's variance)."""
-        rows, cols = (_quadratures([k], self.n_modes) for k in (i, j))
-        return self.entries[rows][:, cols]
+        rows = _quadratures([i], self.n_modes, "i")
+        cols = _quadratures([j], self.n_modes, "j")
+        return self.entries.take(rows, 0).take(cols, 1)
 
 
 @dataclass(frozen=True)
@@ -367,9 +370,8 @@ def tensor(*states: CovMat) -> CovMat:
 
 def partial_trace(state: CovMat, keep) -> CovMat:
     """Reduced state on the distinct modes in ``keep`` (returned in ascending order)."""
-    idx = _quadratures(keep, state.n_modes)
-    idx.sort()
-    return CovMat(state.entries[idx][:, idx])
+    idx = sorted(_quadratures(keep, state.n_modes, "keep"))
+    return CovMat(state.entries.take(idx, 0).take(idx, 1))
 
 
 def beam_splitter(eta: float) -> np.ndarray:
@@ -398,7 +400,7 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     ``s`` must be 2m x 2m for the m distinct modes given and must preserve
     the symplectic form to 1e-10 times max(1, max|S|^2).
     """
-    idx = _quadratures(modes, state.n_modes)
+    idx = _quadratures(modes, state.n_modes, "modes")
     s = np.asarray(s, dtype=float)
     m = len(idx) // 2
     if s.shape != (2 * m, 2 * m):
@@ -409,8 +411,14 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
     if float(np.abs(_times_omega(s) @ s.T - omega).max()) > bound:
         raise DomainError("matrix is not symplectic")
+    out = state.entries.copy()  # S V S^T: only the rows and columns in idx change
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _congruence(state.entries, s, idx)
+        out[idx] = s @ out[idx]
+        out[:, idx] = out[:, idx] @ s.T
+        # Rounding in a strongly squeezing S can leave more asymmetry than
+        # CovMat accepts; halving before the sum keeps representable entries finite.
+        out *= 0.5
+        out = out + out.T
     return _result(out, "symplectic update")
 
 
@@ -426,15 +434,16 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     if state.n_modes < 2:
         raise DomainError("homodyne conditioning needs at least two modes")
     _choice(quadrature, ("q", "p"), "quadrature")
-    col = _quadratures([measured_mode], state.n_modes)[0 if quadrature == "q" else 1]
+    quads = _quadratures([measured_mode], state.n_modes, "measured_mode")
+    col = quads[0 if quadrature == "q" else 1]
     v = float(state.entries[col, col])
     if v <= 1e-12:
         raise DegenerateMeasurementError(
             f"measured quadrature variance {v} is numerically singular"
         )
-    idx = _quadratures([k for k in range(state.n_modes) if k != measured_mode], state.n_modes)
-    a = state.entries[idx][:, idx]
-    c = state.entries[idx, col]
+    idx = [j for j in range(2 * state.n_modes) if j // 2 != col // 2]
+    rows = state.entries.take(idx, 0)
+    a, c = rows.take(idx, 1), rows[:, col]
     with np.errstate(over="ignore", invalid="ignore"):
         out = a - np.outer(c, c) / v
     return _result(out, "homodyne update")

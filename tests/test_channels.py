@@ -132,6 +132,36 @@ def test_balanced_splitter_with_its_output_port_traced_out_is_pure_loss(n_modes)
                 assert np.abs(after.entries - before.entries).max() <= 4 * ulp
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_apply_channel_is_the_exact_congruence(n_modes):
+    # X V X^T + Y with the full X and Y built here; == treats -0.0 as 0.0,
+    # the only difference the diagonal update may make (at tau = 0).
+    rng = np.random.default_rng(27 + n_modes)
+    size = 2 * n_modes
+    for _ in range(5):
+        state, _ = random_state(rng, n_modes)
+        for k in range(n_modes):
+            for tau in (-2.0, -0.5, 0.0, 0.3, 0.9, 1.5, 30.0):
+                for nbar in (0.0, 0.1, 10.0):
+                    ch = gk.make_canonical(tau, nbar=nbar)
+                    block = slice(2 * k, 2 * k + 2)
+                    x_full, y_full = np.eye(size), np.zeros((size, size))
+                    x_full[block, block] = math.sqrt(abs(tau)) * (
+                        np.diag([1.0, -1.0]) if tau < 0.0 else np.eye(2)
+                    )
+                    y_full[block, block] = abs(1.0 - tau) * ch.w * np.eye(2)
+                    expected = x_full @ state.entries @ x_full.T + y_full
+                    out = gk.apply_channel(state, ch, mode=k)
+                    assert (out.entries == expected).all(), (tau, nbar, k)
+
+
+def test_apply_dilation_refuses_an_environment_mode():
+    # mode 2 of the three-mode joint state is an environment mode, not an input one
+    with pytest.raises(DomainError) as info:
+        gk.apply_dilation(gk.vacuum(1), gk.dilate(gk.make_canonical(0.5, nbar=0.1)), mode=2)
+    assert info.value.field == "mode"
+
+
 def test_dilate_couplings():
     att = gk.dilate(gk.make_canonical(0.6, nbar=0.2))
     np.testing.assert_allclose(att.coupling, gk.beam_splitter(0.6), atol=1e-15)

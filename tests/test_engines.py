@@ -1,7 +1,10 @@
 """Finite-squeezing engines against closed forms: convergence, monotonicity,
 protocol bookkeeping."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,3 +403,21 @@ def test_direct_rate_vanishes_where_reverse_rate_survives():
 @pytest.mark.parametrize("tau, low", [(0.7, 0.16), (0.9, 1.43)])
 def test_direct_rate_is_positive_above_half_transmission(tau, low):
     assert _direct_rate(make_canonical(tau, nbar=0.0), 1e4) > low
+
+
+# sha256 of the float.hex of every engine value on bench/refs/engines.json
+# (rci, ci and the protocol engine under both port models) at the refs' mus,
+# one value per line.  A change that moves an engine value by a single bit
+# changes it; a deliberate accuracy change updates it and says so.
+_ENGINE_VALUE_BITS = "04f9da3907d1cfc1ab07aee1ae9eb1c7eca3392a8264dcca9b28ecc87812743d"
+
+
+def test_engine_values_keep_their_bits():
+    refs = json.loads((Path(__file__).parents[1] / "bench" / "refs" / "engines.json").read_text())
+    digest = hashlib.sha256()
+    for e in refs["entries"]:
+        rows = convergence_table(make_canonical(e["tau"], nbar=e["nbar"]), refs["mus"],
+                                 e["engine"], e["port"])
+        for row in rows:
+            digest.update(row.value.hex().encode() + b"\n")
+    assert digest.hexdigest() == _ENGINE_VALUE_BITS

@@ -154,14 +154,14 @@ _SLOTS = {
     "tmsv": (lambda x: gk.tmsv(x), None),
     "beam_splitter": (lambda x: gk.beam_splitter(x), None),
     "two_mode_squeezer": (lambda x: gk.two_mode_squeezer(x), None),
-    "partial_trace": (lambda x: gk.partial_trace(gk.vacuum(2), x), None),
+    "partial_trace": (lambda x: gk.partial_trace(gk.vacuum(2), x), "keep"),
     "apply_symplectic": (lambda x: gk.apply_symplectic(gk.vacuum(2), gk.beam_splitter(0.5), x),
-                         None),
-    "homodyne_mode": (lambda x: gk.homodyne_condition(gk.vacuum(2), x, "q"), None),
+                         "modes"),
+    "homodyne_mode": (lambda x: gk.homodyne_condition(gk.vacuum(2), x, "q"), "measured_mode"),
     "homodyne_quadrature": (lambda x: gk.homodyne_condition(gk.vacuum(2), 0, x), None),
-    "mode_block": (lambda x: gk.vacuum(2).mode_block(0, x), None),
-    "apply_channel": (lambda x: gk.apply_channel(gk.vacuum(2), _CH, mode=x), None),
-    "apply_dilation": (lambda x: gk.apply_dilation(gk.vacuum(1), gk.dilate(_CH), mode=x), None),
+    "mode_block": (lambda x: gk.vacuum(2).mode_block(0, x), "j"),
+    "apply_channel": (lambda x: gk.apply_channel(gk.vacuum(2), _CH, mode=x), "mode"),
+    "apply_dilation": (lambda x: gk.apply_dilation(gk.vacuum(1), gk.dilate(_CH), mode=x), "mode"),
     "rci_mu": (lambda x: gk.rci_finite_mu(_CH, x), None),
     "ci_mu": (lambda x: gk.ci_finite_mu(_CH, x), None),
     "protocol_mu": (lambda x: gk.protocol_rate_numeric(_CH, x), None),
@@ -245,8 +245,13 @@ _HUGE = 10**5000  # past Python's int-to-str digit limit: str() of it raises
         (lambda: _sim(mode=_HUGE), "mode"),
         (lambda: gk.vacuum(_HUGE), "n_modes"),
         (lambda: gk.symplectic_form(_HUGE), "n_modes"),
-        (lambda: gk.partial_trace(gk.vacuum(2), [_HUGE]), None),
-        (lambda: gk.vacuum(2).mode_block(0, _HUGE), None),
+        (lambda: gk.partial_trace(gk.vacuum(2), [_HUGE]), "keep"),
+        (lambda: gk.vacuum(2).mode_block(0, _HUGE), "j"),
+        (lambda: gk.vacuum(2).mode_block(_HUGE, 0), "i"),
+        (lambda: gk.apply_symplectic(gk.vacuum(2), gk.beam_splitter(0.5), (0, _HUGE)), "modes"),
+        (lambda: gk.homodyne_condition(gk.vacuum(2), _HUGE, "q"), "measured_mode"),
+        (lambda: gk.apply_channel(gk.vacuum(2), _CH, mode=_HUGE), "mode"),
+        (lambda: gk.apply_dilation(gk.vacuum(1), gk.dilate(_CH), mode=_HUGE), "mode"),
         (lambda: gk.homodyne_condition(gk.vacuum(2), 0, _HUGE), None),
         (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.1), _HUGE), None),
         (lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=0.1), 10.0, _HUGE), None),
@@ -254,7 +259,8 @@ _HUGE = 10**5000  # past Python's int-to-str digit limit: str() of it raises
     ],
     ids=[
         "tau", "nbar", "nbar_negative", "steps", "sweep_tol", "threshold_tol", "rounds", "seed",
-        "mode", "vacuum", "form", "mode_list", "mode_block", "quadrature", "mu", "port_model",
+        "mode", "vacuum", "form", "mode_list", "mode_block", "mode_block_i", "symplectic_modes",
+        "measured_mode", "channel_mode", "dilation_mode", "quadrature", "mu", "port_model",
         "kept_rounds",
     ],
 )

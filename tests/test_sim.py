@@ -141,6 +141,26 @@ def test_moment_matrix_refuses_other_shapes_and_types(cov):
         moment_standard_errors(cov, 50)
 
 
+@pytest.mark.parametrize("scale", [1, 1e-300])
+@pytest.mark.parametrize("cov", [[[2, 1], [5, 3]], [[2, 1], [-7, 3]]], ids=["5", "-7"])
+def test_moment_matrix_refuses_asymmetric_off_diagonals(cov, scale):
+    # Only entry (0, 1) was read: the first gave 0.1315 bits, the value of [[2, 1], [1, 3]]
+    cov = scale * np.array(cov)
+    with pytest.raises(DomainError, match="not symmetric"):
+        gaussian_mutual_information(cov)
+    with pytest.raises(DomainError, match="not symmetric"):
+        moment_standard_errors(cov, 10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 1e-300, 1e300])
+def test_moment_matrix_accepts_rounding_asymmetry_at_any_scale(scale):
+    # 1e-14 relative to the largest entry, with no vacuum-scale floor
+    cov = [[2.0 * scale, scale], [scale * (1.0 + 1e-14), 3.0 * scale]]
+    want = [[2.0 * scale, scale], [scale, 3.0 * scale]]
+    assert gaussian_mutual_information(cov) == gaussian_mutual_information(want)
+    assert np.array_equal(moment_standard_errors(cov, 10), moment_standard_errors(want, 10))
+
+
 @pytest.mark.parametrize("power", [-1070, -1000, -600, 600, 1000, 1020])
 def test_moment_statistics_are_exact_under_power_of_two_scaling(power):
     # The entries are rescaled by a power of four before any product, so a

@@ -375,6 +375,71 @@ def test_non_finite_entries_are_invalid_states(bad, size, where):
         gk.CovMat(m)
 
 
+def _numpy_rule(entries):
+    """CovMat's rule stated with numpy reductions: the stored array and spectrum, or raise."""
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
+        raise InvalidStateError("shape")
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
+        raise InvalidStateError("non-finite")
+    halved = peak > sys.float_info.max / 2
+    if halved:
+        m, peak = 0.5 * m, 0.5 * peak
+    if float(np.abs(m - m.T).max()) > gk.symplectic.SYMMETRY_ATOL * max(1.0, peak):
+        raise InvalidStateError("not symmetric")
+    m = m + m.T if halved else 0.5 * (m + m.T)
+    return m, gk.symplectic._symplectic_eigenvalues(m)
+
+
+def _validation_cases():
+    rng = np.random.default_rng(27)
+    tol = gk.symplectic.SYMMETRY_ATOL
+    for n_modes in (1, 2, 3, 4):
+        for _ in range(10):
+            s = random_symplectic(rng, n_modes)
+            v = s @ np.diag(np.repeat(1.0 + rng.exponential(0.7, n_modes), 2)) @ s.T
+            yield v  # asymmetric by rounding only
+            for factor in (0.5, 2.0):
+                w = v.copy()
+                w[0, 1] += factor * tol * max(1.0, np.abs(v).max())
+                yield w
+    for size in (2, 4, 6):
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(size):
+                for j in range(size):
+                    m = np.eye(size)
+                    m[i, j] = bad
+                    yield m
+    big = sys.float_info.max
+    for peak in (0.6 * big, 0.9 * big, big):
+        for off in (0.0, 1e-13 * peak, 3e-12 * peak):
+            yield [[peak, off], [0.0, peak]]
+            yield np.kron([[peak, 0.5 * peak], [0.5 * peak + off, peak]], np.eye(2))
+    yield np.eye(4, dtype=int) * 3
+    yield np.array([[5, 2], [2, 5]])
+    yield [[2, 1], [1, 2]]
+    yield [[2.0, 1.0], [0.0, 2.0]]
+    yield [[0.5, 0.0], [0.0, 0.5]]  # unphysical
+    yield [[1.0, 2.0, 3.0]]
+    yield np.eye(3)
+
+
+def test_validation_matches_the_numpy_rule():
+    # Each array is accepted or refused alike, with the same exception type;
+    # an accepted one stores the same bits and the same spectrum.
+    for entries in _validation_cases():
+        try:
+            expected = _numpy_rule(entries)
+        except gk.GaussKeyError as error:
+            with pytest.raises(type(error)):
+                gk.CovMat(entries)
+            continue
+        state = gk.CovMat(entries)
+        assert state.entries.tobytes() == expected[0].tobytes()
+        assert state._nu == expected[1]
+
+
 def test_indefinite_two_mode_matrices_are_invalid_states():
     # Symmetric but indefinite: the positive-definiteness check must name
     # the fault, whatever sign the two-mode discriminant happens to take.
