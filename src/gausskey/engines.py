@@ -160,11 +160,11 @@ def convergence_table(
     _choice(engine, ENGINES, "engine")
     _choice(port_model, PORT_MODELS, "port_model")
     try:
-        mu_list = [_float(m) for m in mu_values]
+        mu_list = [] if isinstance(mu_values, (str, bytes)) else [_float(m) for m in mu_values]
     except TypeError:  # not iterable
         mu_list = []
     if not mu_list:
-        raise DomainError(f"mu_values must not be empty, got {_shown(mu_values)}")
+        raise DomainError(f"mu_values must not be empty or a string, got {_shown(mu_values)}")
     if engine == "rci":
         target = e_r_interior(ch)
         values = [rci_finite_mu(ch, m) for m in mu_list]

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import DomainError, EmptyStatisticsError, NumericError
 from .errors import _choice, _count, _float, _shown, _whole
 from .rates import CanonicalChannel
-from .symplectic import SYMMETRY_ATOL, _variance
+from .symplectic import SYMMETRY_ATOL, _power_of_four, _variance
 
 __all__ = [
     "RNG_DESCRIPTION",
@@ -158,7 +158,7 @@ def analytic_moments(tau: float, nbar: float, mu: float, basis: str = "q") -> np
 def _moments(cov, conditional: bool) -> tuple[float, float, float, float]:
     """(V_A, V_B, c, s): a real 2x2 moment matrix's entries divided by s.
 
-    s is the power of four that brings the largest entry into [1/2, 4), so
+    s is the power of four that brings the largest entry into [1/2, 2), so
     no product of two entries overflows or underflows, and power-of-two
     scaling is exact.  Entries must be finite and the variances positive,
     and the two off-diagonal entries may differ by at most ``SYMMETRY_ATOL``
@@ -174,8 +174,7 @@ def _moments(cov, conditional: bool) -> tuple[float, float, float, float]:
     va, vb, c, c_t = _float(va), _float(vb), _float(c), _float(c_t)
     valid = 0.0 < va < math.inf and 0.0 < vb < math.inf
     valid = valid and abs(c) < math.inf and abs(c_t) < math.inf
-    peak = math.frexp(max(va, vb, abs(c), abs(c_t)))[1] if valid else 0  # binary exponent
-    scale = math.ldexp(1.0, 2 * min(peak // 2, 511))
+    scale = _power_of_four(max(va, vb, abs(c), abs(c_t)), 1)
     va, vb, c, c_t = va / scale, vb / scale, c / scale, c_t / scale
     if valid and abs(c - c_t) > SYMMETRY_ATOL * max(va, vb, abs(c), abs(c_t)):
         raise DomainError("moment matrix is not symmetric")

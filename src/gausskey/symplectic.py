@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateMeasurementError, DomainError, InvalidStateError, NumericError
 from .errors import _choice, _count, _float, _shown, _whole
-from .rates import _HALF_MAX, entropy_g
+from .rates import entropy_g
 
 __all__ = [
     "CovMat",
@@ -73,23 +73,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return _times_omega(np.eye(2 * _count(n_modes, 1, "n_modes", field="n_modes")))
 
 
-def _one_mode_eigenvalue(m: np.ndarray) -> float:
-    """sqrt(det V) of a one-mode array, in Python floats; raises unless V is positive definite."""
-    (a, b), (c, d) = m.tolist()
-    scale = 1.0
-    det = a * d - b * c
-    if not math.isfinite(det):  # a d or b c overflowed: divide by the largest entry first
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        a, b, c, d = a / scale, b / scale, c / scale, d / scale
-        det = a * d - b * c
-    if not (a > 0.0 and det > 0.0):
-        raise InvalidStateError("covariance matrix is not positive definite")
-    return math.sqrt(det) * scale
+def _power_of_four(x: float, top: int) -> float:
+    """The least power of four 4**k, k <= 511, with a positive finite ``x`` / 4**k < 2**top."""
+    return math.ldexp(1.0, 2 * min((math.frexp(x)[1] + 1 - top) // 2, 511))
 
 
-def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
-    """Two-mode spectrum [nu_+, nu_-] in Python floats, or None where a Cholesky pivot is not > 0
-    or nu_+ overflows.
+def _two_mode_eigenvalues(flat: list[float]) -> list[float] | None:
+    """Two-mode spectrum [nu_+, nu_-] in Python floats, or None where a Cholesky pivot is not > 0.
 
     V = L L^T is factorised entry by entry, and K = L^T Omega L is the real
     antisymmetric matrix whose eigenvalues are +-i nu_k.  Its self-dual and
@@ -102,7 +92,7 @@ def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
     accurate as the factor L (two-mode invariants: Serafini, Illuminati &
     De Siena, J. Phys. B 37, L21 (2004)).
     """
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.tolist()
+    a00, a01, a02, a03, _, a11, a12, a13, _, _, a22, a23, _, _, _, a33 = flat
     if not a00 > 0.0:
         return None
     l00 = math.sqrt(a00)
@@ -130,14 +120,12 @@ def _two_mode_eigenvalues(m: np.ndarray) -> list[float] | None:
     a = math.hypot(k01 + k23, k02 - k13, k03 + k12)
     b = math.hypot(k01 - k23, k02 + k13, k03 - k12)
     high = 0.5 * (a + b)
-    if not high < math.inf:
-        return None
     # nu_+ nu_- = det L: no cancellation, and no product past the float range
     return [high, (l00 * l11) * ((l22 * l33) / high)]
 
 
-def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
-    """Symplectic spectrum of a raw covariance array, descending, each >= 1.
+def _symplectic_eigenvalues(flat: list[float], m: np.ndarray) -> tuple[float, ...]:
+    """Symplectic spectrum of ``m``, entries ``flat`` (row-major floats), descending, each >= 1.
 
     Raises if the array fails positive definiteness or the uncertainty bound.
     n = 1 uses the exact closed form sqrt(det V), and n = 2 the closed form
@@ -159,41 +147,54 @@ def _symplectic_eigenvalues(m: np.ndarray) -> tuple[float, ...]:
 
     Validation tolerances scale with the largest entry: float error in the
     eigenvalues grows with the matrix norm, and an absolute 1e-9 band would
-    reject valid states of large variance.
+    reject valid states of large variance.  Past 2**510 every route works on
+    V / f and multiplies nu by f, f the least power of four that brings the
+    largest diagonal entry below 2**480 (exact): L^T Omega L (at most 2n times
+    it) stays below 2**485, past which LAPACK rescales by other factors.
     """
     n = m.shape[0] // 2
     # A positive-definite array's largest entry lies on its diagonal.
-    scale = max(1.0, *m.diagonal().tolist())
-    nu = None
+    peak = max(flat[:: 2 * n + 1])
+    f = _power_of_four(peak, 480) if peak > 2.0**510 else 1.0
+    flat = [x / f for x in flat] if f > 1.0 else flat
+    nu = _two_mode_eigenvalues(flat) if n == 2 else None
     if n == 1:
-        nu = [_one_mode_eigenvalue(m)]
-    elif n == 2:
-        nu = _two_mode_eigenvalues(m)
-    if nu is None:
-        # Sums in L^T Omega L reach 2n * scale.  Where that overflows, the
-        # array is divided by a power of two first (exact), and nu multiplied back.
-        shrink = 2.0 ** (2 * n).bit_length() if n * scale > _HALF_MAX else 1.0
-        a = m / shrink if shrink > 1.0 else m
+        a, b, c, d = flat
+        det = a * d - b * c
+        if not (a > 0.0 and det > 0.0):
+            raise InvalidStateError("covariance matrix is not positive definite")
+        nu = [math.sqrt(det)]
+    elif nu is None:
+        a = m / f if f > 1.0 else m
         try:
             root = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             evals, vecs = np.linalg.eigh(a)
-            if evals[0] <= -SYMMETRY_ATOL * max(1.0, float(np.abs(a).max())):
+            if evals[0] <= -SYMMETRY_ATOL * max(1.0 / f, float(np.abs(a).max())):
                 raise InvalidStateError("covariance matrix is not positive definite")
             root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.T
         spec = np.linalg.eigvalsh(1j * (_times_omega(root.T) @ root))
-        nu = [v * shrink for v in spec[: n - 1 : -1].tolist()]
-    if not nu[0] < math.inf:
+        nu = spec[: n - 1 : -1].tolist()
+    high, low = nu[0] * f, nu[-1] * f
+    if not high < math.inf:
         raise NumericError(
-            f"symplectic eigenvalue {nu[0]} of a {n}-mode state is past the float range "
+            f"symplectic eigenvalue {high} of a {n}-mode state is past the float range "
             "(float range limit)"
         )
-    low = nu[-1]
-    if low < 1.0 - PHYSICALITY_ATOL * scale:
-        raise InvalidStateError(
-            f"unphysical covariance matrix: symplectic eigenvalue {low} < 1"
-        )
-    return tuple(max(v, 1.0) for v in nu)
+    if low < 1.0 - PHYSICALITY_ATOL * max(1.0, peak):
+        raise InvalidStateError(f"unphysical covariance matrix: symplectic eigenvalue {low} < 1")
+    return tuple([max(v * f, 1.0) for v in nu])
+
+
+def _real_array(x, error: type, what: str) -> np.ndarray:
+    """``x`` as a float array; entries of other dtypes than bool, int and float via ``_float``."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged nesting
+        raise error(f"{what} is not a rectangular array") from None
+    if a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    return np.array([_float(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def _variance(v: float, what: str, field: str | None = None) -> float:
@@ -244,9 +245,9 @@ class CovMat:
     """Covariance matrix of an n-mode Gaussian state.
 
     Validated on construction, from one read of the array into Python
-    floats: it must be 2n x 2n with finite entries, symmetric (within
-    1e-12 times max(1, largest entry); an array past half the float
-    maximum is halved first, and the stored array is the symmetrised one),
+    floats (each entry under the package's real-number rule): it must be
+    2n x 2n with finite real entries, symmetric (within 1e-12 times
+    max(1, largest entry); the stored array is the symmetrised one),
     positive definite (it has a Cholesky factor; an array too singular for
     one may have no eigenvalue at or below -1e-12 times its largest entry),
     and satisfy the uncertainty relation (every symplectic eigenvalue
@@ -262,30 +263,25 @@ class CovMat:
     _nu: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = _real_array(self.entries, InvalidStateError, "covariance matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
             raise InvalidStateError(
                 f"covariance matrix must be square 2n x 2n, got shape {m.shape}"
             )
         flat = m.ravel().tolist()  # the one read: every rule below is stated on Python floats
         if not all(map(math.isfinite, flat)):  # max() would skip a NaN that is not first
-            raise InvalidStateError("covariance matrix has non-finite entries")
-        peak = max(map(abs, flat))
-        halved = peak > _HALF_MAX  # x +- y would overflow: halve first, exact at this scale
-        if halved:
-            flat, peak = [0.5 * x for x in flat], 0.5 * peak
+            raise InvalidStateError("covariance matrix has non-finite or non-real entries")
         flat_t = [flat[k] for k in _transposed(m.shape[0])]
         # x - y is exactly -(y - x), so the largest difference is the largest |x - y|
-        if max(map(operator.sub, flat, flat_t)) > SYMMETRY_ATOL * max(1.0, peak):
+        if max(map(operator.sub, flat, flat_t)) > SYMMETRY_ATOL * max(1.0, *map(abs, flat)):
             raise InvalidStateError("covariance matrix is not symmetric")
-        half = 1.0 if halved else 0.5  # halved entries sum to the mean
-        flat = [half * (x + y) for x, y in zip(flat, flat_t)]
+        flat = [x if x == y else 0.5 * x + 0.5 * y for x, y in zip(flat, flat_t)]
         a = np.array(flat)
         a.flags.writeable = False
         # A view of a read-only array can never be made writable again.
         m = a.reshape(m.shape)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "_nu", _symplectic_eigenvalues(m))
+        object.__setattr__(self, "_nu", _symplectic_eigenvalues(flat, m))
 
     @property
     def n_modes(self) -> int:
@@ -401,18 +397,22 @@ def apply_symplectic(state: CovMat, s: np.ndarray, modes) -> CovMat:
     the symplectic form to 1e-10 times max(1, max|S|^2).
     """
     idx = _quadratures(modes, state.n_modes, "modes")
-    s = np.asarray(s, dtype=float)
+    s = _real_array(s, DomainError, "symplectic matrix")
     m = len(idx) // 2
     if s.shape != (2 * m, 2 * m):
         raise DomainError(
             f"symplectic matrix must be {2 * m} x {2 * m} for {m} modes, got {s.shape}"
         )
-    omega = symplectic_form(m)
-    bound = SYMPLECTIC_ATOL * max(1.0, float(np.abs(s).max()) ** 2)
-    if float(np.abs(_times_omega(s) @ s.T - omega).max()) > bound:
-        raise DomainError("matrix is not symplectic")
+    peak = float(np.abs(s).max())
+    if not peak < math.inf:  # NaN too
+        raise DomainError("symplectic matrix has non-finite or non-real entries")
+    bound = SYMPLECTIC_ATOL * max(1.0, peak * peak)
+    if not bound < math.inf:
+        raise NumericError(f"max|S|^2 = {peak}^2 is past the float range (float range limit)")
     out = state.entries.copy()  # S V S^T: only the rows and columns in idx change
     with np.errstate(over="ignore", invalid="ignore"):
+        if not float(np.abs(_times_omega(s) @ s.T - symplectic_form(m)).max()) <= bound:  # NaN too
+            raise DomainError("matrix is not symplectic")
         out[idx] = s @ out[idx]
         out[:, idx] = out[:, idx] @ s.T
         # Rounding in a strongly squeezing S can leave more asymmetry than

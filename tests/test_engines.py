@@ -230,9 +230,9 @@ def test_engine_diagonalises_each_state_once(
     seen = []
     spectrum = gausskey.symplectic._symplectic_eigenvalues
 
-    def counting(m):
+    def counting(flat, m):
         seen.append(m.shape)
-        return spectrum(m)
+        return spectrum(flat, m)
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")
@@ -263,6 +263,9 @@ def test_engine_argument_validation():
         convergence_table(ch, [2.0], engine="closed_form")
     with pytest.raises(DomainError, match="must not be empty"):
         convergence_table(ch, [], engine="rci")
+    for text in ("12", b"12"):  # iterated as the values 1 and 2 (or 49 and 50)
+        with pytest.raises(DomainError, match="or a string"):
+            convergence_table(ch, text, engine="rci")
 
 
 def test_convergence_table_rows_match_direct_calls():

@@ -141,6 +141,14 @@ def test_cholesky_spectrum_matches_eigh_root_oracle():
         np.testing.assert_allclose(state._nu, 1.0, rtol=0, atol=bound(state))
 
 
+def _refuse_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
 def test_two_mode_validation_calls_no_linalg(monkeypatch):
     # Non-singular two-mode arrays get their spectrum from the closed form
     # in Python floats; numpy.linalg is left to larger and singular arrays.
@@ -152,12 +160,7 @@ def test_two_mode_validation_calls_no_linalg(monkeypatch):
     arrays += [s.entries for s in joints]
     arrays += [gk.partial_trace(_protocol_state(channels[2], 100.0), (2, 3)).entries]
     expected = [gk.CovMat(m)._nu for m in arrays]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg called")
-
-    for name in ("cholesky", "eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+    _refuse_linalg(monkeypatch)
     assert [gk.CovMat(m)._nu for m in arrays] == expected
     for ch in channels:
         assert math.isfinite(gk.rci_finite_mu(ch, 100.0))
@@ -341,7 +344,7 @@ def test_spectrum_is_computed_once_at_validation(monkeypatch):
     spectra = [gk.symplectic_spectrum(s) for s in states]
     entropies = [gk.von_neumann_entropy(s) for s in states]
 
-    def fail(m):
+    def fail(flat, m):
         raise AssertionError("spectrum recomputed after validation")
 
     monkeypatch.setattr(gk.symplectic, "_symplectic_eigenvalues", fail)
@@ -389,7 +392,7 @@ def _numpy_rule(entries):
     if float(np.abs(m - m.T).max()) > gk.symplectic.SYMMETRY_ATOL * max(1.0, peak):
         raise InvalidStateError("not symmetric")
     m = m + m.T if halved else 0.5 * (m + m.T)
-    return m, gk.symplectic._symplectic_eigenvalues(m)
+    return m, gk.symplectic._symplectic_eigenvalues(m.ravel().tolist(), m)
 
 
 def _validation_cases():
@@ -416,6 +419,12 @@ def _validation_cases():
         for off in (0.0, 1e-13 * peak, 3e-12 * peak):
             yield [[peak, off], [0.0, peak]]
             yield np.kron([[peak, 0.5 * peak], [0.5 * peak + off, peak]], np.eye(2))
+    for n_modes in (1, 2, 3):  # the largest diagonal entry at 2**510 and one ulp past it
+        v = random_state(rng, n_modes)[0].entries
+        for edge in (2.0**510, np.nextafter(2.0**510, math.inf)):
+            yield v / v.diagonal().max() * edge
+    yield [[2.0, 5e-324], [5e-324, 2.0]]  # exactly symmetric, subnormal off-diagonal
+    yield np.kron([[3.0, 1e-310], [1e-310, 3.0]], np.eye(2))
     yield np.eye(4, dtype=int) * 3
     yield np.array([[5, 2], [2, 5]])
     yield [[2, 1], [1, 2]]
@@ -438,6 +447,53 @@ def test_validation_matches_the_numpy_rule():
         state = gk.CovMat(entries)
         assert state.entries.tobytes() == expected[0].tobytes()
         assert state._nu == expected[1]
+
+
+_NOT_REAL_ARRAYS = {
+    "complex": np.eye(2) * (1 + 1j),
+    "complex_list": [[2.0, 1j], [1j, 2.0]],
+    "str": "ab",
+    "str_entries": [["a", "0"], ["0", "b"]],
+    "ragged": [[1.0, 0.0], [0.0]],
+    "huge_int": [[10**400, 0], [0, 1]],
+    "none_entry": [[None, 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("entries", _NOT_REAL_ARRAYS.values(), ids=_NOT_REAL_ARRAYS.keys())
+def test_covariance_entries_must_be_real(entries):
+    # complex entries were dropped to their real part with a ComplexWarning,
+    # and the others escaped as a bare ValueError or OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStateError):
+            gk.CovMat(entries)
+        with pytest.raises(DomainError):
+            gk.apply_symplectic(gk.tmsv(2.0), entries, (0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j])
+def test_symplectic_matrix_entries_must_be_finite_reals(bad):
+    s = np.eye(4, dtype=type(bad))
+    s[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            gk.apply_symplectic(gk.tmsv(2.0), s, (0, 1))
+
+
+def test_bool_int_and_float_arrays_convert_without_a_per_entry_call(monkeypatch):
+    def fail(x):
+        raise AssertionError("entry converted one by one")
+
+    bs, state = gk.beam_splitter(0.5), gk.tmsv(2.0)
+    monkeypatch.setattr(gk.symplectic, "_float", fail)
+    for entries in (np.eye(2, dtype=bool), np.eye(2, dtype=np.int64) * 3, [[2, 0], [0, 2]],
+                    np.eye(4, dtype=np.float32), [[2.0, 0.5], [0.5, 2.0]]):
+        assert gk.CovMat(entries).entries.dtype == np.float64
+    assert gk.CovMat([[2.0, 1.0], [1.0, 2.0]])._nu == (math.sqrt(3.0),)
+    for s in (np.eye(4, dtype=int), np.eye(2, dtype=bool), bs):
+        gk.apply_symplectic(state, s, (0, 1) if len(s) == 4 else (1,))
 
 
 def test_indefinite_two_mode_matrices_are_invalid_states():
@@ -542,8 +598,10 @@ def test_entries_past_half_the_float_range_stay_finite(peak):
     assert gk.CovMat(np.eye(6) * peak)._nu == pytest.approx((peak,) * 3, rel=1e-15)
 
 
-def test_large_two_mode_spectra_come_from_the_scaled_array():
-    # nu = m +- c: 0.7 * float max stays finite, though a + b in the closed form overflows
+def test_large_two_mode_spectra_come_from_the_scaled_array(monkeypatch):
+    # nu = m +- c: 0.7 * float max stays finite, though a + b in the closed
+    # form overflows on the unscaled array
+    _refuse_linalg(monkeypatch)
     big = sys.float_info.max
     m, c = 0.4 * big, 0.3 * big
     v = np.array([[m, 0, c, 0], [0, m, 0, c], [c, 0, m, 0], [0, c, 0, m]])
@@ -558,7 +616,9 @@ def test_mixed_scale_two_mode_spectra_keep_the_smaller_eigenvalue():
 
 
 @pytest.mark.parametrize("n_modes", [2, 3])
-def test_spectrum_past_the_float_range_is_a_numeric_error(n_modes):
+def test_spectrum_past_the_float_range_is_a_numeric_error(monkeypatch, n_modes):
+    if n_modes == 2:
+        _refuse_linalg(monkeypatch)
     big = sys.float_info.max
     m, c = 0.9 * big, 0.8 * big  # nu_+ = 1.7 * float max
     v = np.eye(2 * n_modes)
@@ -566,6 +626,87 @@ def test_spectrum_past_the_float_range_is_a_numeric_error(n_modes):
     with pytest.raises(NumericError, match="float range limit") as info:
         gk.CovMat(v)
     assert info.value.field is None
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_spectra_past_2_to_the_510_scale_exactly_by_powers_of_four(n_modes):
+    # A large array is divided by a power of four (exact), so scaling a state
+    # by one scales its spectrum by the same factor, bit for bit.
+    rng = np.random.default_rng(510 + n_modes)
+    for _ in range(1500):
+        v = random_state(rng, n_modes)[0]
+        k = int(rng.integers(0, 250))
+        f = 4.0 ** (k + math.ceil((510 - math.log2(np.abs(v.entries).max())) / 2))
+        assert gk.CovMat(f * v.entries)._nu == tuple(f * x for x in v._nu)
+
+
+def _mp_spectrum(m):
+    """Symplectic spectrum of the float array m to 80 digits: |eigenvalues| of Omega V."""
+    from mpmath import mp
+
+    with mp.workdps(80):
+        n = m.shape[0] // 2
+        om = mp.zeros(2 * n, 2 * n)
+        for k in range(n):
+            om[2 * k, 2 * k + 1], om[2 * k + 1, 2 * k] = 1, -1
+        eig = mp.eig(om * mp.matrix(m.tolist()), left=False, right=False)
+        return [float(x) for x in sorted((abs(e) for e in eig), reverse=True)[::2]]
+
+
+@pytest.mark.parametrize("n_modes, ulps", [(1, 8), (2, 8), (3, 32)])
+def test_spectra_past_2_to_the_510_match_mpmath(n_modes, ulps):
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1020 + n_modes)
+    for _ in range(16):
+        v = random_state(rng, n_modes)[0].entries
+        m = v * 10.0 ** rng.uniform(154.0, 305.0)  # not a power of two
+        got, want = gk.CovMat(m)._nu, _mp_spectrum(m)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= ulps * math.ulp(w), (m, got, want)
+
+
+@pytest.mark.parametrize("x", [1e160, 1e200, 2.0**750])
+def test_pure_squeezed_spectra_past_2_to_the_510_stay_exact(x):
+    # V / f is taken with the least power of four f that brings the largest
+    # entry below 2**480, so 1 / x stays a normal float up to x ~ 2**751:
+    # an f that brought it into [1/2, 4) left 1e-160 / f with ten significant
+    # bits and 1e-200 / f zero.
+    assert gk.CovMat(np.diag([x, 1.0 / x]))._nu == (1.0,)
+    assert gk.CovMat(np.diag([x, 1.0 / x, x, 1.0 / x]))._nu == (1.0, 1.0)
+    assert gk.von_neumann_entropy(gk.CovMat(np.diag([x, 1.0 / x]))) == 0.0
+
+
+def test_squeezed_one_mode_spectra_past_2_to_the_510_match_mpmath():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(766)
+    for _ in range(50):
+        v = random_state(rng, 1)[0].entries
+        g = 10.0 ** rng.uniform(0.0, 60.0)  # squeezing: entries from ~1e34 to ~1e305
+        m = v * 10.0 ** rng.uniform(154.0, 305.0 - 2.0 * math.log10(g))
+        m *= [[g * g, 1.0], [1.0, 1.0 / (g * g)]]
+        got, want = gk.CovMat(m)._nu, _mp_spectrum(m)
+        assert abs(got[0] - want[0]) <= 8 * math.ulp(want[0]), (m, got, want)
+
+
+def test_symplectic_check_past_the_float_range_refuses():
+    # max|S|^2 overflowed to an infinite bound that no residual exceeds, and
+    # det S = 1e100 passed for symplectic; sums of S Omega S^T that overflow
+    # are refused with no numpy warning.
+    a = 1.2e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="float range limit"):
+            gk.apply_symplectic(gk.CovMat(np.diag([1e-150, 1e150])), np.diag([1e200, 1e-100]), (0,))
+        with pytest.raises(DomainError, match="not symplectic"):
+            gk.apply_symplectic(gk.vacuum(1), np.array([[a, a], [a, -a]]), (0,))
+
+
+def test_symmetric_entries_are_stored_as_given():
+    # Exactly symmetric entries are kept at every scale, subnormal ones too:
+    # no halving rounds them away past half the float maximum.
+    for peak in (2.0, 1e300, sys.float_info.max):
+        v = np.array([[peak, 5e-324], [5e-324, peak]])
+        assert gk.CovMat(v).entries.tobytes() == v.tobytes()
 
 
 def test_representable_operation_results_stay_finite():
@@ -588,8 +729,10 @@ def test_representable_operation_results_stay_finite():
         ),
         lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=1e160), 10.0),
         lambda: gk.tmsv(1e155),
+        # exactly symplectic; max|S|^2 in its check overflowed as a bare OverflowError
+        lambda: gk.apply_symplectic(gk.vacuum(2), np.diag([1e200, 1e-200, 1.0, 1.0]), (0, 1)),
     ],
-    ids=["channel", "squeezer", "homodyne", "protocol", "tmsv"],
+    ids=["channel", "squeezer", "homodyne", "protocol", "tmsv", "symplectic_past_sqrt_max"],
 )
 def test_operation_results_past_the_float_range_are_numeric_errors(call):
     # They overflowed with a numpy RuntimeWarning and were refused as
