@@ -1,7 +1,7 @@
 """Covariance action of the canonical one-mode channels, with environment dilations.
 
 The channel record (``CanonicalChannel``, built by ``make_canonical``) lives
-in the numpy-free ``rates`` module and is re-exported here.  On covariance
+in the numpy-free ``rates`` module, which exports both.  On covariance
 matrices a channel acts on the targeted mode as
 
     V  ->  X V X^T + Y,
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedChannelError
-from .rates import CanonicalChannel, make_canonical
+from .rates import CanonicalChannel
 from .symplectic import (
     CovMat,
     _quadratures,

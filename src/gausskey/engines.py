@@ -28,7 +28,6 @@ from .channels import CanonicalChannel, apply_channel
 from .errors import DomainError, NumericError, _choice, _float, _shown
 from .rates import e_r_interior, q1g_interior, r_rev_interior
 from .symplectic import (
-    CovMat,
     apply_symplectic,
     beam_splitter,
     homodyne_condition,
@@ -80,20 +79,15 @@ def ci_finite_mu(ch: CanonicalChannel, mu: float) -> float:
     return von_neumann_entropy(partial_trace(joint, (1,))) - von_neumann_entropy(joint)
 
 
-def _protocol_state(ch: CanonicalChannel, mu: float) -> tuple[CovMat, CovMat]:
-    """Channel output (A, B') and the state (A, B, D) after Bob's balanced beam splitter."""
-    joint = apply_channel(tmsv(mu), ch, mode=1)
-    return joint, apply_symplectic(tensor(joint, vacuum(1)), _BALANCED, (1, 2))
-
-
 def _conditioned(ch: CanonicalChannel, mu: float, port_model: str, basis: str) -> tuple:
     """Eve's complement before and after y: (A, B'), (A, D)|y trusted; (A, B), A|y untrusted."""
     _choice(port_model, PORT_MODELS, "port_model")
     _choice(basis, ("q", "p"), "basis")
+    joint = apply_channel(tmsv(mu), ch, mode=1)
     if port_model == "trusted":
-        before, state = _protocol_state(ch, mu)
+        before, state = joint, apply_symplectic(tensor(joint, vacuum(1)), _BALANCED, (1, 2))
     else:
-        before = state = apply_channel(apply_channel(tmsv(mu), ch, mode=1), _HALF_LOSS, mode=1)
+        before = state = apply_channel(joint, _HALF_LOSS, mode=1)
     return before, homodyne_condition(state, measured_mode=1, quadrature=basis)
 
 

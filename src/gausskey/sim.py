@@ -24,16 +24,17 @@ Randomness contract (reproducible across platforms and schedules):
   from rejection sampling.
 
 ``simulate`` splits the rounds into chunks of ``_CHUNK_ROUNDS // workers``
-rounds and runs them on one thread per available CPU (inline when there is
-one CPU or one chunk): thread k takes chunks k, k + workers, ... and keeps
-its own running moment sums.  Each chunk keys its own generator with the
-seed and advances it to the chunk's first round, so the split changes no
-round.  The rounds in flight across all threads are therefore bounded by
-``_CHUNK_ROUNDS`` whatever the CPU count, and so is memory unless
-``keep_rounds`` asks for the per-round record, of which each chunk writes
-only its own slice.  The test suite checks that every chunk size and CPU
-count gives identical statistics and rounds.  The moment sums are
-accumulated exactly, as integers in units of 2**-1127, so each one equals
+rounds, one task each, and maps them onto a pool of one thread per
+available CPU (inline when there is one CPU or one chunk); once a chunk
+raises, the chunks not yet started are cancelled.  Each chunk keys its own
+generator with the seed and advances it to the chunk's first round, so the
+split changes no round.  A thread runs one chunk at a time, so the rounds in
+flight are bounded by ``_CHUNK_ROUNDS`` whatever the CPU count; the pool
+holds about 2 kB per chunk besides (all chunks are submitted at once), and
+``keep_rounds`` adds the per-round record, of which each chunk writes only
+its own slice.  The test suite checks that every chunk size and CPU count
+gives identical statistics and rounds.  The moment sums are accumulated
+exactly, as integers in units of 2**-1127, so each one equals
 ``math.fsum`` over all kept rounds and the reported statistics are
 independent of summation order and chunking as well.
 """
@@ -259,56 +260,52 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
     rounds = int(cfg.rounds)
     workers = _cpu_count()
     step = max(1, _CHUNK_ROUNDS // workers)
-    lanes = min(workers, -(-rounds // step))  # one per worker, at most one per chunk
     rec = np.empty(rounds, dtype=_ROUND_DTYPE) if keep_rounds else None
     labels = np.array(["q", "p"])
 
-    def lane(first):
-        # Runs on a worker thread, so it calls no public gausskey function and
-        # enters errstate itself: numpy's error state is per thread.
-        n_kept = 0
-        sums = [0] * 5  # a, b, a*a, b*b, a*b over kept rounds, times 2**1127
+    def chunk(start):
+        # May run on a worker thread, so it calls no public gausskey function
+        # and enters errstate itself: numpy's error state is per thread.
+        stop = min(start + step, rounds)
         # Products of huge outcomes may overflow; _scaled_sum reports them.
         with np.errstate(over="ignore"):
-            for start in range(first * step, rounds, lanes * step):
-                stop = min(start + step, rounds)
-                gen = np.random.Generator(np.random.Philox(key=int(cfg.seed)).advance(start))
-                u = gen.random((stop - start, 4))
-                basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
-                if cfg.mode == "memory":
-                    basis_a = basis_b
-                else:
-                    basis_a = (u[:, 1] >= 0.5).astype(np.int8)
-                kept = basis_a == basis_b
-                z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
-                z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
-                c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
-                x_b = math.sqrt(vb) * z_b
-                x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
+            gen = np.random.Generator(np.random.Philox(key=int(cfg.seed)).advance(start))
+            u = gen.random((stop - start, 4))
+            basis_b = (u[:, 0] >= 0.5).astype(np.int8)  # 0 = q, 1 = p
+            if cfg.mode == "memory":
+                basis_a = basis_b
+            else:
+                basis_a = (u[:, 1] >= 0.5).astype(np.int8)
+            kept = basis_a == basis_b
+            z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
+            z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
+            c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
+            x_b = math.sqrt(vb) * z_b
+            x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
 
-                align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
-                a = (x_a * align)[kept]
-                b = x_b[kept]
-                n_kept += len(a)
-                for i, x in enumerate((a, b, a * a, b * b, a * b)):
-                    sums[i] += _scaled_sum(x)
-                if rec is not None:
-                    part = rec[start:stop]
-                    part["basis_b"] = labels[basis_b]
-                    part["basis_a"] = labels[basis_a]
-                    part["kept"] = kept
-                    part["x_a"] = x_a
-                    part["x_b"] = x_b
-        return n_kept, sums
+            align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
+            a = (x_a * align)[kept]
+            b = x_b[kept]
+            # a, b, a*a, b*b, a*b over the kept rounds, times 2**1127
+            sums = [_scaled_sum(x) for x in (a, b, a * a, b * b, a * b)]
+        if rec is not None:
+            part = rec[start:stop]
+            part["basis_b"] = labels[basis_b]
+            part["basis_a"] = labels[basis_a]
+            part["kept"] = kept
+            part["x_a"] = x_a
+            part["x_b"] = x_b
+        return len(a), sums
 
-    if lanes == 1:
-        results = [lane(0)]
+    starts = range(0, rounds, step)
+    if workers == 1 or len(starts) == 1:
+        results = [chunk(start) for start in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor  # deferred: it imports logging
 
         # A pool per call: threads that outlived it would deadlock a forked child.
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            results = list(pool.map(lane, range(lanes)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(chunk, starts))
     n_kept = sum(k for k, _ in results)
     sums = [sum(column) for column in zip(*(s for _, s in results))]
 

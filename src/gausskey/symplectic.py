@@ -11,8 +11,8 @@ States are represented by :class:`CovMat`.  First moments are never tracked:
 every quantity computed here is invariant under displacements, and the one
 consumer that needs outcome statistics (the protocol simulator) works with
 scalar moments directly.  Each state is diagonalised once, when validated.
-The thermal entropy ``entropy_g`` lives in the numpy-free ``rates`` module
-and is re-exported here.
+The thermal entropy ``entropy_g`` lives in the numpy-free ``rates`` module,
+which exports it.
 """
 
 from __future__ import annotations

@@ -355,8 +355,8 @@ def test_engines_avoid_the_slow_array_constructors(monkeypatch):
         assert math.isfinite(rci_finite_mu(ch, 100.0))
         assert math.isfinite(ci_finite_mu(ch, 100.0))
         assert math.isfinite(protocol_rate_numeric(ch, 100.0))
-        joint, state = gausskey.engines._protocol_state(ch, 100.0)
-        assert (joint.n_modes, state.n_modes) == (2, 3)
+        before, after = gausskey.engines._conditioned(ch, 100.0, "trusted", "q")
+        assert (before.n_modes, after.n_modes) == (2, 2)
         assert _protocol_state(ch, 100.0).n_modes == 5
 
 

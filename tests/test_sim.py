@@ -592,6 +592,31 @@ def test_precision_limits_raise_from_worker_threads(monkeypatch, kwargs, match):
     assert threads or "are not all finite and positive" in match  # only these fail before sampling
 
 
+def test_a_failing_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
+    # 400 chunks of 1000 rounds on two threads.  Only the first _scaled_sum
+    # call raises; every other chunk that reaches it calls it five times.
+    monkeypatch.setattr(sim_module, "_CHUNK_ROUNDS", 2000)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 2)
+    chunks = 400
+    calls = []
+    scaled_sum = sim_module._scaled_sum
+
+    def failing_scaled_sum(x):
+        calls.append(len(x))
+        if len(calls) == 1:
+            raise NumericError("the first chunk fails")
+        return scaled_sum(x)
+
+    monkeypatch.setattr(sim_module, "_scaled_sum", failing_scaled_sum)
+    cfg = SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=chunks * 1000, seed=3)
+    with pytest.raises(NumericError, match="the first chunk fails"):
+        simulate(cfg)
+    reached = 1 + (len(calls) - 1) // 5
+    # The thread that did not fail would run its half of the chunks without
+    # cancellation; a quarter leaves room for a main thread slow to wake.
+    assert reached < chunks // 4
+
+
 def _send_stats_bits(cfg, conn):
     conn.send(_stats_bits(simulate(cfg)))
     conn.close()

@@ -848,6 +848,21 @@ def test_squeezer_round_trip_returns_the_input():
     np.testing.assert_allclose(back.entries, state.entries, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("gain", [1e4, 1e5])
+def test_finite_unphysical_operation_result_is_an_invalid_state(gain):
+    # Undoing a strong squeezer leaves finite entries whose rounding puts a
+    # symplectic eigenvalue below 1: the operation's result is refused as
+    # unphysical, not as a float range limit, which is for non-finite entries.
+    squeeze = gk.two_mode_squeezer(gain)
+    undo = squeeze.copy()
+    undo[:2, 2:] *= -1.0
+    undo[2:, :2] *= -1.0
+    there = gk.apply_symplectic(gk.vacuum(2), squeeze, (0, 1))
+    with pytest.raises(InvalidStateError, match="unphysical") as info:
+        gk.apply_symplectic(there, undo, (0, 1))
+    assert not isinstance(info.value, NumericError)
+
+
 def test_builders_match_their_block_forms():
     i2, z2 = np.eye(2), np.diag([1.0, -1.0])
     rng = np.random.default_rng(10)
