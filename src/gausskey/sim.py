@@ -24,19 +24,19 @@ Randomness contract (reproducible across platforms and schedules):
   from rejection sampling.
 
 ``simulate`` splits the rounds into chunks of ``_CHUNK_ROUNDS // workers``
-rounds, one task each, and maps them onto a pool of one thread per
-available CPU (inline when there is one CPU or one chunk); once a chunk
-raises, the chunks not yet started are cancelled.  Each chunk keys its own
-generator with the seed and advances it to the chunk's first round, so the
-split changes no round.  A thread runs one chunk at a time, so the rounds in
-flight are bounded by ``_CHUNK_ROUNDS`` whatever the CPU count; the pool
-holds about 2 kB per chunk besides (all chunks are submitted at once), and
-``keep_rounds`` adds the per-round record, of which each chunk writes only
-its own slice.  The test suite checks that every chunk size and CPU count
-gives identical statistics and rounds.  The moment sums are accumulated
-exactly, as integers in units of 2**-1127, so each one equals
-``math.fsum`` over all kept rounds and the reported statistics are
-independent of summation order and chunking as well.
+rounds, one task each, and maps them onto a pool of one thread per available
+CPU (inline when there is one CPU or one chunk), ``4 * workers`` chunks per
+window, with the next window queued while one is read; once a chunk raises,
+the chunks of its window not yet started are cancelled and no further window
+is queued.  Each chunk keys its own generator with the seed and advances it
+to the chunk's first round, so the split changes no round.  A thread runs
+one chunk at a time and at most two windows of results are held, so memory
+is bounded whatever the CPU and round counts unless ``keep_rounds`` adds the
+per-round record (each chunk writes only its own slice).  The test suite
+checks that every chunk size and CPU count gives identical statistics and
+rounds.  The moment sums are accumulated exactly, as integers in units of
+2**-1127, so each one equals ``math.fsum`` over all kept rounds and the
+reported statistics are independent of summation order and chunking as well.
 """
 
 from __future__ import annotations
@@ -297,17 +297,18 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
             part["x_b"] = x_b
         return len(a), sums
 
-    starts = range(0, rounds, step)
-    if workers == 1 or len(starts) == 1:
-        results = [chunk(start) for start in starts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: it imports logging
+    from concurrent.futures import ThreadPoolExecutor  # deferred: it imports logging
 
-        # A pool per call: threads that outlived it would deadlock a forked child.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk, starts))
-    n_kept = sum(k for k, _ in results)
-    sums = [sum(column) for column in zip(*(s for _, s in results))]
+    starts = range(0, rounds, step)
+    window, ahead = 4 * workers, ()  # one window of chunks queued ahead of the one read
+    n_kept, sums = 0, [0] * 5
+    # A pool per call: threads that outlived it would deadlock a forked child.
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # no thread starts unless used
+        mapper = map if workers == 1 or len(starts) == 1 else pool.map
+        for i in range(0, len(starts) + window, window):
+            batch, ahead = ahead, mapper(chunk, starts[i : i + window])
+            for k, s in batch:
+                n_kept, sums = n_kept + k, [t + x for t, x in zip(sums, s)]
 
     # Two kept rounds still determine a rank-1 sample covariance (sample
     # correlation exactly +-1), so the empirical mutual information needs

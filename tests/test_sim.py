@@ -593,11 +593,10 @@ def test_precision_limits_raise_from_worker_threads(monkeypatch, kwargs, match):
 
 
 def test_a_failing_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
-    # 400 chunks of 1000 rounds on two threads.  Only the first _scaled_sum
+    # 100 chunks of 1000 rounds on two threads.  Only the first _scaled_sum
     # call raises; every other chunk that reaches it calls it five times.
     monkeypatch.setattr(sim_module, "_CHUNK_ROUNDS", 2000)
     monkeypatch.setattr(sim_module, "_cpu_count", lambda: 2)
-    chunks = 400
     calls = []
     scaled_sum = sim_module._scaled_sum
 
@@ -608,13 +607,32 @@ def test_a_failing_chunk_cancels_the_chunks_not_yet_started(monkeypatch):
         return scaled_sum(x)
 
     monkeypatch.setattr(sim_module, "_scaled_sum", failing_scaled_sum)
-    cfg = SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=chunks * 1000, seed=3)
+    cfg = SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=100 * 1000, seed=3)
     with pytest.raises(NumericError, match="the first chunk fails"):
         simulate(cfg)
     reached = 1 + (len(calls) - 1) // 5
-    # The thread that did not fail would run its half of the chunks without
-    # cancellation; a quarter leaves room for a main thread slow to wake.
-    assert reached < chunks // 4
+    # The failing chunk's window of 4 * workers chunks and the one queued
+    # behind it are all that was ever submitted; without cancellation the
+    # other thread would run its half of the 100.
+    assert reached <= 2 * 4 * 2
+
+
+def test_memory_does_not_grow_with_the_chunk_count(monkeypatch):
+    # The chunks pending at once are bounded by the window, not the run: ten
+    # times the chunks (64 rounds each, 8 workers) keep the traced peak
+    # within 0.5 MB, where submitting every chunk at once costs about 2 kB each.
+    monkeypatch.setattr(sim_module, "_CHUNK_ROUNDS", 8 * 64)
+    monkeypatch.setattr(sim_module, "_cpu_count", lambda: 8)
+    simulate(SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=10, seed=8))  # load scipy.special first
+    peaks = []
+    for chunks in (64, 640):
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(tau=0.5, nbar=0.1, mu=5.0, rounds=chunks * 64, seed=8))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6
 
 
 def _send_stats_bits(cfg, conn):
