@@ -17,6 +17,7 @@ only, never the computation and never the fixed CSV schema).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -240,15 +241,15 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
         cfg = SimConfig(tau=tau, nbar=nbar, mu=mu, rounds=rounds, seed=seed, mode=mode)
         if rounds_csv is not None:
             # Opened before the run, so an unwritable path fails before any
-            # round; a run that then fails leaves no empty log behind.
+            # round; a run or write that then fails for any reason leaves no log.
             with _open_output(rounds_csv, "--rounds-csv") as fh:
                 try:
                     stats, rec = simulate(cfg, keep_rounds=True)
-                except GaussKeyError:
+                    fh.write(rounds_to_csv(rec))
+                except BaseException:
                     fh.close()
                     os.remove(rounds_csv)
                     raise
-                fh.write(rounds_to_csv(rec))
         else:
             stats = simulate(cfg)
     except GaussKeyError as exc:
@@ -314,24 +315,6 @@ def _curve_svg(curve: ThresholdCurve) -> str:
     def sy(e: float) -> float:
         return height - margin - e / ymax * (height - 2 * margin)
 
-    def polylines(series: str, style: str) -> list[str]:
-        out, seg = [], []
-        prev_tau = None
-        for r in rows:
-            if prev_tau is not None and prev_tau < 1.0 < r.tau:
-                if len(seg) >= 2:
-                    out.append(_polyline(seg, style))
-                seg = []
-            seg.append((sx(r.tau), sy(getattr(r, series))))
-            prev_tau = r.tau
-        if len(seg) >= 2:
-            out.append(_polyline(seg, style))
-        return out
-
-    def _polyline(points, style) -> str:
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        return f'<polyline fill="none" {style} points="{coords}"/>'
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -371,7 +354,11 @@ def _curve_svg(curve: ThresholdCurve) -> str:
         "eps_rev": 'stroke="black" stroke-width="1.5" stroke-dasharray="6 4"',
     }
     for series, style in styles.items():
-        parts.extend(polylines(series, style))
+        # rows ascend and none has tau = 1: one group each side of the gap
+        for _, side in itertools.groupby(rows, key=lambda r: r.tau > 1.0):
+            coords = [f"{sx(r.tau):.2f},{sy(getattr(r, series)):.2f}" for r in side]
+            if len(coords) >= 2:
+                parts.append(f'<polyline fill="none" {style} points="{" ".join(coords)}"/>')
     legend_y = margin + 18
     for series, style in styles.items():
         parts.append(

@@ -118,6 +118,8 @@ def protocol_rate_numeric(
     before, after = _conditioned(ch, mu, port_model, basis)
     row = 0 if basis == "q" else 1
     va, cond = float(before.entries[row, row]), float(after.entries[row, row])
+    # cond is 0.0 where CovMat's eigh band let a zero variance through (trusted
+    # port at tau 0.5, nbar 0.1, mu 1e17): va / cond would divide by zero.
     rounding = math.ulp(1.0) * va / cond if 0.0 < cond < math.inf else math.inf
     if rounding > _MAX_MI_ROUNDING_BITS:
         raise NumericError(

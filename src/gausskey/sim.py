@@ -245,16 +245,14 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
     from scipy.special import ndtri  # deferred: scipy dominates import time
 
     cov_q = analytic_moments(cfg.tau, cfg.nbar, cfg.mu, basis="q")
-    va = float(cov_q[0, 0])
-    vb = float(cov_q[1, 1])
-    c_q = float(cov_q[0, 1])
-    cond = va - c_q * c_q / vb
-    if not (math.isfinite(c_q) and all(0.0 < v < math.inf for v in (va, vb, cond))):
+    (va, c_q), (_, vb) = cov_q.tolist()
+    try:
+        mi_analytic = gaussian_mutual_information(cov_q)
+    except DomainError:
         raise NumericError(
-            f"outcome moments V_A={va}, V_B={vb}, c={c_q}, V_A|B={cond} are not all "
+            f"outcome moments V_A={va}, V_B={vb}, c={c_q} and V_A|B are not all "
             "finite and positive (float precision limit)"
-        )
-    mi_analytic = gaussian_mutual_information(cov_q)
+        ) from None
     c_p = c_q * _p_alignment_sign(cfg.tau)
 
     rounds = int(cfg.rounds)

@@ -228,9 +228,10 @@ def _transposed(size: int) -> tuple[int, ...]:
 def _result(out: np.ndarray | list, what: str) -> CovMat:
     """``CovMat(out)`` for the new entries (array or nested list) of an operation on a valid state.
 
-    Such entries hold inf or NaN only where the arithmetic overflowed, so
-    once :class:`CovMat` refuses them, non-finite entries raise
-    :class:`NumericError` (float range limit) instead.
+    Such entries, and those ``tmsv`` builds from a valid ``mu``, hold inf or
+    NaN only where the arithmetic overflowed, so once :class:`CovMat`
+    refuses them, non-finite entries raise :class:`NumericError` (float
+    range limit) instead.
     """
     try:
         return CovMat(out)
@@ -340,13 +341,9 @@ def tmsv(mu: float) -> CovMat:
 
 @functools.lru_cache(maxsize=256)
 def _tmsv(mu: float) -> CovMat:
-    c = math.sqrt(mu * mu - 1.0)
-    if c == math.inf:
-        raise NumericError(
-            f"source variance mu = {mu} has a square past the float range (float range limit)"
-        )
-    return CovMat(
-        np.array([[mu, 0.0, c, 0.0], [0.0, mu, 0.0, -c], [c, 0.0, mu, 0.0], [0.0, -c, 0.0, mu]])
+    c = math.sqrt(mu * mu - 1.0)  # inf once mu^2 overflows
+    return _result(
+        [[mu, 0.0, c, 0.0], [0.0, mu, 0.0, -c], [c, 0.0, mu, 0.0], [0.0, -c, 0.0, mu]], "tmsv"
     )
 
 
@@ -437,10 +434,8 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     quads = _quadratures([measured_mode], state.n_modes, "measured_mode")
     col = quads[0 if quadrature == "q" else 1]
     v = float(state.entries[col, col])
-    if v <= 1e-12:
-        raise DegenerateMeasurementError(
-            f"measured quadrature variance {v} is numerically singular"
-        )
+    if not v > 0.0:  # only in an array that CovMat's eigh band let through
+        raise DegenerateMeasurementError(f"measured quadrature variance {v} is not positive")
     idx = [j for j in range(2 * state.n_modes) if j // 2 != col // 2]
     rows = state.entries.take(idx, 0)
     a, c = rows.take(idx, 1), rows[:, col]

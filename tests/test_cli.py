@@ -1,6 +1,7 @@
 """Command-line interface: output shape, JSON schemas, exit codes, file
 artifacts, environment-controlled precision."""
 
+import hashlib
 import json
 import math
 import os
@@ -249,6 +250,18 @@ def test_simulate_failed_run_leaves_no_round_log(tmp_path):
     assert not log.exists()
 
 
+def test_simulate_run_failing_with_any_exception_leaves_no_round_log(tmp_path, monkeypatch):
+    def failing_simulate(cfg, keep_rounds=False):
+        raise RuntimeError("the run fails")
+
+    monkeypatch.setattr(gausskey.cli, "simulate", failing_simulate)
+    log = tmp_path / "rounds.csv"
+    result = _run(["simulate", "--tau", "0.5", "--nbar", "0", "--mu", "5", "--rounds", "30",
+                   "--seed", "3", "--mode", "memory", "--rounds-csv", str(log)])
+    assert isinstance(result.exception, RuntimeError)
+    assert not log.exists()
+
+
 def test_thresholds_writes_csv_and_svg(tmp_path):
     csv_path = tmp_path / "curve.csv"
     svg_path = tmp_path / "curve.svg"
@@ -265,6 +278,20 @@ def test_thresholds_writes_csv_and_svg(tmp_path):
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") >= 3
+
+
+def test_thresholds_svg_bytes_are_pinned(tmp_path):
+    # A sweep across the excluded tau = 1 and through negative tau: each
+    # curve is two polylines, one on each side of the gap.
+    svg_path = tmp_path / "curve.svg"
+    result = _run(["thresholds", "--tau-min", "-1.2", "--tau-max", "3", "--steps", "200",
+                   "--out", str(tmp_path / "curve.csv"), "--svg", str(svg_path)])
+    assert result.exit_code == 0
+    svg = svg_path.read_bytes()
+    assert svg.count(b"<polyline") == 6
+    assert hashlib.sha256(svg).hexdigest() == (
+        "cfbf8a1b21fb2b072c3d5f62795337050f6331f41d62c6c9005fe5d5d10a1113"
+    )
 
 
 def test_thresholds_svg_of_a_single_tau(tmp_path):

@@ -333,9 +333,29 @@ def test_homodyne_validation():
         gk.homodyne_condition(gk.thermal(2.0), measured_mode=0, quadrature="q")
     with pytest.raises(DomainError):
         gk.homodyne_condition(gk.tmsv(2.0), measured_mode=0, quadrature="x")
+    # A squeezed but positive variance is measured: mode 1 is left in vacuum.
     squeezed = gk.CovMat(np.diag([1e-13, 1e13, 1.0, 1.0]))
-    with pytest.raises(DegenerateMeasurementError):
-        gk.homodyne_condition(squeezed, measured_mode=0, quadrature="q")
+    out = gk.homodyne_condition(squeezed, measured_mode=0, quadrature="q")
+    assert out.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_homodyne_of_a_strongly_squeezed_tmsv_arm():
+    # Mode 0 of tmsv(2) squeezed by e^-15 has V_q = 1.87e-13; measuring it
+    # leaves mode 1 with diag(mu - (mu^2 - 1) / mu, mu) = diag(0.5, 2).
+    s = np.diag([math.exp(-15.0), math.exp(15.0), 1.0, 1.0])
+    state = gk.CovMat(s @ gk.tmsv(2.0).entries @ s.T)
+    assert 0.0 < state.entries[0, 0] < 1e-12
+    out = gk.homodyne_condition(state, measured_mode=0, quadrature="q")
+    np.testing.assert_allclose(out.entries, np.diag([0.5, 2.0]), rtol=0.0, atol=1e-12)
+
+
+def test_homodyne_refuses_the_zero_variance_covmat_lets_through():
+    # CovMat's eigh band accepts (A, D)|y of the trusted port at mu 1e17
+    # with V_A = 0.0; conditioning on that quadrature divides by zero.
+    state = gk.engines._conditioned(gk.make_canonical(0.5, nbar=0.1), 1e17, "trusted", "q")[1]
+    assert state.entries[0, 0] == 0.0
+    with pytest.raises(DegenerateMeasurementError, match="variance 0.0 is not positive"):
+        gk.homodyne_condition(state, measured_mode=0, quadrature="q")
 
 
 def test_spectrum_is_computed_once_at_validation(monkeypatch):
