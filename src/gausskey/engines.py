@@ -13,10 +13,12 @@ B' with a vacuum port into B and a discarded port D.  Her environment E
 purifies (A, B, D), and (A, D, E) stays pure given y, so each of her
 entropies is that of the complementary modes: no dilation is built, and
 every channel class is covered.  The ``"trusted"`` port model keeps D from
-her (S(E) = S(A B'), S(E | y) = S(A D | y) from the three-mode (A, B, D)) and
-converges to the closed-form ``r_rev``.  ``"untrusted"`` grants D to her
-(S(E D) = S(A B), S(E D | y) = S(A | y)); D traced out of the beam splitter
-leaves the pure-loss channel of transmissivity 1/2, so (A, B) is two modes.
+her (S(E) = S(A B'), S(E | y) = S(A D | y)) and converges to the closed-form
+``r_rev``; (A, D)|y comes from (A, B') in one closed-form update, with no
+three-mode (A, B, D) built.  ``"untrusted"`` grants D to her (S(E D) =
+S(A B), S(E D | y) = S(A | y)); D traced out of the beam splitter leaves the
+pure-loss channel of transmissivity 1/2, so (A, B) is two modes.  A warm call
+validates 2 states (trusted) or 3 (untrusted), none of more than two modes.
 """
 
 from __future__ import annotations
@@ -27,16 +29,8 @@ from dataclasses import dataclass
 from .channels import CanonicalChannel, apply_channel
 from .errors import DomainError, NumericError, _choice, _float, _shown
 from .rates import e_r_interior, q1g_interior, r_rev_interior
-from .symplectic import (
-    apply_symplectic,
-    beam_splitter,
-    homodyne_condition,
-    partial_trace,
-    tensor,
-    tmsv,
-    vacuum,
-    von_neumann_entropy,
-)
+from .symplectic import CovMat, _result, homodyne_condition, partial_trace, tmsv
+from .symplectic import von_neumann_entropy
 
 __all__ = [
     "ConvergenceRow",
@@ -59,7 +53,6 @@ PORT_MODELS = ("trusted", "untrusted")
 # bound is crossed between mu = 1e10 and 1e12; mu = 1e16 would give 0.381
 # bits against a closed form of 0.263).
 _MAX_MI_ROUNDING_BITS = 1e-6
-_BALANCED = beam_splitter(0.5)  # Bob's beam splitter on (B', D)
 _HALF_LOSS = CanonicalChannel(0.5, 0.0)  # Bob's beam splitter with D traced out
 
 
@@ -85,10 +78,32 @@ def _conditioned(ch: CanonicalChannel, mu: float, port_model: str, basis: str) -
     _choice(basis, ("q", "p"), "basis")
     joint = apply_channel(tmsv(mu), ch, mode=1)
     if port_model == "trusted":
-        before, state = joint, apply_symplectic(tensor(joint, vacuum(1)), _BALANCED, (1, 2))
-    else:
-        before = state = apply_channel(joint, _HALF_LOSS, mode=1)
-    return before, homodyne_condition(state, measured_mode=1, quadrature=basis)
+        return joint, _trusted_port(joint, basis)
+    state = apply_channel(joint, _HALF_LOSS, mode=1)
+    return state, homodyne_condition(state, measured_mode=1, quadrature=basis)
+
+
+def _trusted_port(joint: CovMat, basis: str) -> CovMat:
+    """(A, D)|y: Bob mixes B' with a vacuum port D on his balanced splitter and homodynes B.
+
+    That measures x_k + z_k (x = B', z the vacuum, k the quadrature, o the other).
+    With u column k of V = (A, B') and w = u / (u_k + 1), (A, B') given y is
+    Sigma = V - u w^T with row and column k exactly w (Gaussian conditioning;
+    Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).  D, up to a pi phase,
+    is sqrt(2) x_k and (x_o - z_o) / sqrt(2): (A, D)|y = M Sigma M^T + e_o e_o^T / 2.
+    D_k's variance 2 u_k / (u_k + 1) keeps the vacuum's 1 at every scale.
+    """
+    v = joint.entries.tolist()
+    k = 2 if basis == "q" else 3
+    o, u, r = 5 - k, v[k], math.sqrt(2.0)
+    w = [x / (u[k] + 1.0) for x in u]
+    pairs = ((0, 0), (0, 1), (1, 1), (0, o), (1, o), (o, o))
+    a00, a01, a11, a0o, a1o, aoo = [v[i][j] - u[i] * w[j] for i, j in pairs]
+    dk = (r * w[0], r * w[1], 2.0 * w[k])  # D_k's entries with A_q and A_p, its variance
+    do = (a0o / r, a1o / r, 0.5 * (aoo + 1.0))
+    q, p = (dk, do) if k == 2 else (do, dk)
+    out = [[a00, a01, q[0], p[0]], [a01, a11, q[1], p[1]], [q[0], q[1], q[2], w[o]]]
+    return _result(out + [[p[0], p[1], w[o], p[2]]], "homodyne update")
 
 
 def protocol_holevo_information(

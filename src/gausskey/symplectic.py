@@ -147,23 +147,31 @@ def _symplectic_eigenvalues(flat: list[float], m: np.ndarray) -> tuple[float, ..
 
     Validation tolerances scale with the largest entry: float error in the
     eigenvalues grows with the matrix norm, and an absolute 1e-9 band would
-    reject valid states of large variance.  Past 2**510 every route works on
-    V / f and multiplies nu by f, f the least power of four that brings the
-    largest diagonal entry below 2**480 (exact): L^T Omega L (at most 2n times
-    it) stays below 2**485, past which LAPACK rescales by other factors.
+    reject valid states of large variance.  Past 2**510 every route of two
+    or more modes works on V / f and multiplies nu by f, f the least power of
+    four that brings the largest diagonal entry below 2**480 (exact):
+    L^T Omega L (at most 2n times it) stays below 2**485, past which LAPACK
+    rescales by other factors.  One mode needs no f.
     """
     n = m.shape[0] // 2
     # A positive-definite array's largest entry lies on its diagonal.
     peak = max(flat[:: 2 * n + 1])
-    f = _power_of_four(peak, 480) if peak > 2.0**510 else 1.0
+    f = _power_of_four(peak, 480) if peak > 2.0**510 and n > 1 else 1.0
     flat = [x / f for x in flat] if f > 1.0 else flat
     nu = _two_mode_eigenvalues(flat) if n == 2 else None
     if n == 1:
         a, b, c, d = flat
-        det = a * d - b * c
+        if peak <= 2.0**510:
+            det, half = a * d - b * c, 0
+        else:
+            # det V / 4**half on the mantissas: a d - b c's rounding with no
+            # overflow, and no squeezed d lost to underflow as in V / f
+            (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, flat)
+            half = max(ea + ed, eb + ec) // 2
+            det = math.ldexp(ma * md, ea + ed - 2 * half) - math.ldexp(mb * mc, eb + ec - 2 * half)
         if not (a > 0.0 and det > 0.0):
             raise InvalidStateError("covariance matrix is not positive definite")
-        nu = [math.sqrt(det)]
+        nu = [math.ldexp(math.sqrt(det), half)]
     elif nu is None:
         a = m / f if f > 1.0 else m
         try:

@@ -6,21 +6,21 @@ given, not from the engines' rounded arrays: the two-mode squeezed vacuum
 action on B.  Every entropy is of a one- or two-mode state and comes from
 sqrt(det V) or from the two-mode invariants Delta and det V.
 
-* ``rci`` and ``ci``: S(A) - S(A B') and S(B') - S(A B').  The quadratic in
-  Delta and det V gives nu_-^2 = (Delta - sqrt(Delta^2 - 4 det V)) / 2, which
-  cancels about 2 log10(nu_+ / nu_-) digits, so the working precision is 60
-  digits plus twice the decimal exponent of the largest entry.
-* ``protocol_rate`` (50 digits): a vacuum port D and Bob's balanced beam
-  splitter on (B', D) follow.  The eavesdropper's entropies are those of the
-  modes complementary to hers (the global state is pure, and stays pure
-  given Bob's outcome).
+The quadratic in Delta and det V gives nu_-^2 = (Delta - sqrt(Delta^2 -
+4 det V)) / 2, which cancels about 2 log10(nu_+ / nu_-) digits, so every
+oracle works at 60 digits plus twice the decimal exponent of the largest
+entry of (A, B'), or at the caller's precision where that is higher.
+
+* ``rci`` and ``ci``: S(A) - S(A B') and S(B') - S(A B').
+* ``protocol_rate``: a vacuum port D and Bob's balanced beam splitter on
+  (B', D) follow.  The eavesdropper's entropies are those of the modes
+  complementary to hers (the global state is pure, and stays pure given
+  Bob's outcome).
 """
 
 import math
 
 from mpmath import mp
-
-DIGITS = 50
 
 
 def _sub(v, idx):
@@ -71,9 +71,14 @@ def _output(tau, nbar, mu):
     return v
 
 
-def _coherent_information(tau, nbar, mu, kept):
+def _digits(tau, nbar, mu):
+    """The higher of mp.dps and 60 plus twice the decimal exponent of (A, B')'s largest entry."""
     scale = max(float(mu), abs(tau) * float(mu) + abs(1 - tau) * (2 * float(nbar) + 1))
-    with mp.workdps(60 + 2 * int(math.log10(scale) + 1)):
+    return max(mp.dps, 60 + 2 * int(math.log10(scale) + 1))
+
+
+def _coherent_information(tau, nbar, mu, kept):
+    with mp.workdps(_digits(tau, nbar, mu)):
         joint = _output(mp.mpf(tau), mp.mpf(nbar), mp.mpf(mu))
         return _entropy(_sub(joint, _quads((kept,)))) - _entropy(joint)
 
@@ -90,7 +95,7 @@ def ci(tau, nbar, mu):
 
 def protocol_rate(tau, nbar, mu, port_model="trusted", basis="q"):
     """I(x_A : y) - chi(E : y) at (tau, nbar, mu), in bits, as an mpf."""
-    with mp.workdps(DIGITS):
+    with mp.workdps(_digits(tau, nbar, mu)):
         joint = _output(mp.mpf(tau), mp.mpf(nbar), mp.mpf(mu))
         v = mp.eye(6)  # (A, B', D): the channel output, then the vacuum port
         for i in range(4):

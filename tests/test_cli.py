@@ -479,10 +479,11 @@ def test_verify_rejects_non_finite_mu_without_a_warning(mu):
 
 
 def test_verify_reports_float_range_overflow_without_a_warning():
-    # The homodyne update squares entries of 5e159: a numpy RuntimeWarning
-    # once came before "covariance matrix has non-finite entries".
+    # The untrusted port's homodyne update squares a cross entry of about
+    # 3.9e154: a numpy RuntimeWarning once came before "covariance matrix has
+    # non-finite entries".
     env = {**os.environ, "PYTHONPATH": str(Path(gausskey.__file__).resolve().parents[1])}
-    args = ["verify", "--tau", "0.5", "--nbar", "1e160", "--mu", "10", "--ports", "trusted"]
+    args = ["verify", "--tau", "30", "--nbar", "0", "--mu", "1e154", "--ports", "untrusted"]
     out = subprocess.run([sys.executable, "-m", "gausskey.cli", *args], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 1

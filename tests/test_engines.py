@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_state
 from five_mode import _eve_modes, _protocol_state, _rate
 
 import gausskey.engines
@@ -208,23 +209,23 @@ def test_protocol_rate_refuses_cancelled_conditional_variance():
     [
         (rci_finite_mu, None, 3, 2, (4, 4)),
         (ci_finite_mu, None, 3, 2, (4, 4)),
-        (protocol_rate_numeric, "trusted", 6, 4, (6, 6)),
+        (protocol_rate_numeric, "trusted", 3, 2, (4, 4)),
         (protocol_rate_numeric, "untrusted", 4, 3, (4, 4)),
     ],
     ids=[
         "rci_finite_mu-3",
         "ci_finite_mu-3",
-        "protocol_rate_numeric-6",
+        "protocol_rate_numeric-trusted-3",
         "protocol_rate_numeric-untrusted-4",
     ],
 )
 def test_engine_diagonalises_each_state_once(
     monkeypatch, engine, port_model, calls, warm_calls, largest
 ):
-    # The first call builds the source states (tmsv, and for the trusted
-    # protocol port the vacuum port); the second reuses them.  Only the
-    # trusted port builds a three-mode state; the untrusted port's states
-    # (A, B'), (A, B) and A | y all take the closed-form spectra.
+    # The first call builds the source state tmsv; the second reuses it.
+    # No engine builds a three-mode state: the trusted port's (A, B') and
+    # (A, D) | y and the untrusted port's (A, B'), (A, B) and A | y all take
+    # the closed-form spectra.
     gausskey.symplectic._tmsv.cache_clear()
     gausskey.symplectic._vacuum.cache_clear()
     seen = []
@@ -343,6 +344,24 @@ def test_protocol_engine_matches_the_five_mode_route(port_model, near, far):
                     assert abs(value - _rate(ch, mu, port_model, basis)) <= bound, (tau, nbar, mu)
 
 
+@pytest.mark.parametrize("basis", ["q", "p"])
+def test_trusted_port_update_matches_the_public_composition(basis):
+    # The closed-form (A, D) | y against the route it replaces: a vacuum port,
+    # Bob's balanced splitter on (B', D) and his homodyne on B.  D comes out
+    # with the opposite sign, a pi phase that changes no spectrum.
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        joint = random_state(rng, 2)[0]
+        got = gausskey.engines._trusted_port(joint, basis)
+        split = apply_symplectic(tensor(joint, vacuum(1)), beam_splitter(0.5), (1, 2))
+        cond = homodyne_condition(split, 1, basis)
+        assert got._nu == pytest.approx(cond._nu, rel=1e-13)
+        want, atol = cond.entries, 1e-13 * np.abs(cond.entries).max()
+        np.testing.assert_allclose(got.entries[:2, :2], want[:2, :2], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(got.entries[2:, 2:], want[2:, 2:], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(got.entries[:2, 2:], -want[:2, 2:], rtol=0.0, atol=atol)
+
+
 def test_engines_avoid_the_slow_array_constructors(monkeypatch):
     # np.kron, np.block and np.ix_ cost several times the 4x4 eigensolve each
     # state's validation needs; the engine path builds its arrays directly.
@@ -412,7 +431,7 @@ def test_direct_rate_is_positive_above_half_transmission(tau, low):
 # (rci, ci and the protocol engine under both port models) at the refs' mus,
 # one value per line.  A change that moves an engine value by a single bit
 # changes it; a deliberate accuracy change updates it and says so.
-_ENGINE_VALUE_BITS = "04f9da3907d1cfc1ab07aee1ae9eb1c7eca3392a8264dcca9b28ecc87812743d"
+_ENGINE_VALUE_BITS = "c5eba6d4709ea1a5f9d6bd210a07387650098f02f772d311b690231a35a5f96a"
 
 
 def test_engine_values_keep_their_bits():

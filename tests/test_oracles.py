@@ -135,3 +135,33 @@ def test_coherent_information_matches_the_mpmath_oracle(tau):
         for mu in (1.0, 10.0, 1e2, 1e4):
             assert abs(gk.rci_finite_mu(ch, mu) - float(rci(tau, nbar, mu))) <= 1e-9, (nbar, mu)
             assert abs(gk.ci_finite_mu(ch, mu) - float(ci(tau, nbar, mu))) <= 1e-9, (nbar, mu)
+
+
+@pytest.mark.parametrize("tau", (-0.5, 0.5, 1.5))
+def test_trusted_port_matches_the_mpmath_oracle_at_large_noise(tau):
+    # Holding Bob's ports as (beta +- 1) / 2 lost the vacuum port's unit
+    # variance once beta's ulp neared it: the trusted rate was 0.0028, 0.5,
+    # 33.7 and 166 bits off at nbar 1e14, 1e16, 1e20 and 1e100, and nbar
+    # 1e160 was refused.  Worst case over this grid: 1.1e-13 bits (nbar 1e160).
+    pytest.importorskip("mpmath")
+    from mp_oracle import protocol_rate
+
+    for nbar in (1e12, 1e14, 1e16, 1e17, 1e20, 1e100, 1e160):
+        ch = gk.make_canonical(tau, nbar=nbar)
+        for basis in ("q", "p"):
+            exact = protocol_rate(tau, nbar, 10.0, "trusted", basis)
+            value = gk.protocol_rate_numeric(ch, 10.0, "trusted", basis)
+            assert abs(value - float(exact)) <= 1e-12, (nbar, basis)
+
+
+def test_protocol_oracle_scales_its_precision_with_the_entries():
+    # At a fixed 50 digits the oracle read +3.762 bits here, where 900 digits
+    # give -166.096; a caller's higher precision is kept.
+    mpmath = pytest.importorskip("mpmath")
+    from mp_oracle import protocol_rate
+
+    value = protocol_rate(0.5, 1e100, 10.0)
+    with mpmath.mp.workdps(900):
+        exact = protocol_rate(0.5, 1e100, 10.0)
+        assert abs(value - exact) < mpmath.mpf("1e-40")
+    assert float(exact) == pytest.approx(-166.0964047443681, abs=1e-12)

@@ -696,6 +696,16 @@ def test_pure_squeezed_spectra_past_2_to_the_510_stay_exact(x):
     assert gk.von_neumann_entropy(gk.CovMat(np.diag([x, 1.0 / x]))) == 0.0
 
 
+def test_one_mode_squeezed_variance_past_2_to_the_510_is_kept():
+    # V / f rounded 2**-e / f to a subnormal from e ~ 751 and to 0 from 777,
+    # so diag(2**778, 2**-778), a pure state, was refused as not positive
+    # definite; the one-mode determinant now comes from the mantissas.
+    for e in range(740, 1024):
+        for v in ([2.0**e, 2.0**-e], [2.0**-e, 2.0**e], [1.5 * 2.0**e, 2.0**-e / 1.5]):
+            nu = gk.CovMat(np.diag(v))._nu
+            assert abs(nu[0] - 1.0) <= 2 * math.ulp(1.0), (e, v, nu)
+
+
 def test_squeezed_one_mode_spectra_past_2_to_the_510_match_mpmath():
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(766)
@@ -747,7 +757,7 @@ def test_representable_operation_results_stay_finite():
         lambda: gk.homodyne_condition(
             gk.CovMat(np.kron([[1e160, 5e159], [5e159, 1e160]], np.eye(2))), 1, "q"
         ),
-        lambda: gk.protocol_rate_numeric(gk.make_canonical(0.5, nbar=1e160), 10.0),
+        lambda: gk.protocol_rate_numeric(gk.make_canonical(30.0, nbar=0.0), 1e154, "untrusted"),
         lambda: gk.tmsv(1e155),
         # exactly symplectic; max|S|^2 in its check overflowed as a bare OverflowError
         lambda: gk.apply_symplectic(gk.vacuum(2), np.diag([1e200, 1e-200, 1.0, 1.0]), (0, 1)),
