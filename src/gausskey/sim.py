@@ -37,6 +37,8 @@ checks that every chunk size and CPU count gives identical statistics and
 rounds.  The moment sums are accumulated exactly, as integers in units of
 2**-1127, so each one equals ``math.fsum`` over all kept rounds and the
 reported statistics are independent of summation order and chunking as well.
+``_scaled_sum`` forms them by error-free extraction, in two or three passes
+for a typical chunk, and stays exact for any chunk below 2**52 rounds.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ RNG_DESCRIPTION = (
 
 _MIN_UNIFORM = 2.0**-53  # floor keeps ndtri away from its pole at 0
 # Rounds in flight across all worker threads; bounds memory without
-# keep_rounds.  _scaled_sum is exact only while it stays below 2**26.
+# keep_rounds.  _scaled_sum is exact for any array below 2**52 elements.
 _CHUNK_ROUNDS = 1 << 15
 
-# frexp writes every finite double as x = m * 2**(e - 53) with |m| < 2**53
-# an integer and e >= -1073, so x * 2**1127 = m * 2**(e + 1074) is an integer.
+# Every finite double is a multiple of 2**-1074, so x * 2**1127 is an integer.
 _SCALE_BITS = 1127
 
 _CSV_BLOCK = 4096  # rows per %-format in rounds_to_csv
@@ -203,27 +204,32 @@ def _p_alignment_sign(tau: float) -> float:
 def _scaled_sum(x: np.ndarray) -> int:
     """Exact sum of ``x`` times 2**1127, as a Python int.
 
-    m's signed high part (m >> 27) and 27-bit low part are summed per
-    exponent by ``bincount``; each partial sum stays below 2**53, hence
-    exact, while ``len(x) < 2**26``.  The nonzero buckets then fold into
-    one int.
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189
+    (2008)): for 2**e > max|x| and sigma = 2**(e + len(x).bit_length() + 1),
+    q = (x + sigma) - sigma is a multiple of sigma * 2**-53, x - q is exact, and
+    the q sum below sigma / 2, exactly in any order while len(x) < 2**52.  Passes
+    repeat on the remainders until all are 0; where sigma would overflow, a pass
+    runs on x * 2**-k and elements whose q is 0 keep x.
     """
-    if not np.isfinite(x).all():
-        raise NumericError(
-            "a sampled outcome or product is not finite: the outcome variances "
-            "exceed float range (float precision limit)"
-        )
-    frac, exp = np.frexp(x)
-    m = (frac * 2.0**53).astype(np.int64)
-    low = int(exp.min(initial=0))  # initial: a chunk may keep no rounds
-    bucket = exp - low  # bucket b holds exponent e = b + low
-    total = 0
-    for part, shift in ((m >> 27, low + 1074 + 27), (m & 0x7FFFFFF, low + 1074)):
-        sums = np.bincount(bucket, weights=part)
-        nonzero = np.flatnonzero(sums)
-        for b, v in zip(nonzero.tolist(), sums[nonzero].tolist()):
-            total += int(v) << (b + shift)
-    return total
+    total, bits = 0, len(x).bit_length() + 1
+    while True:
+        biggest = max(x.max(initial=0.0), -x.min(initial=0.0))
+        if not biggest < math.inf:  # inf or nan
+            raise NumericError(
+                "a sampled outcome or product is not finite: the outcome variances "
+                "exceed float range (float precision limit)"
+            )
+        if biggest == 0.0:
+            return total
+        top = math.frexp(biggest)[1] + bits
+        k = max(0, top - 1023)
+        y = x * 2.0**-k if k else x
+        sigma = 2.0 ** (top - k)
+        q = y + sigma
+        q -= sigma
+        n, d = float(q.sum()).as_integer_ratio()
+        total += (n << (_SCALE_BITS + k)) // d
+        x = np.where(q == 0.0, x, (y - q) * 2.0**k) if k else np.subtract(y, q, out=q)
 
 
 def _cpu_count() -> int:
@@ -242,6 +248,8 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
     :class:`NumericError` when the outcome moments or their sums leave float
     range or precision (for instance mu >= 1e17, or |tau| near float max).
     """
+    if not isinstance(cfg, SimConfig):
+        raise DomainError(f"cfg must be a SimConfig, got {type(cfg).__name__}", field="cfg")
     from scipy.special import ndtri  # deferred: scipy dominates import time
 
     cov_q = analytic_moments(cfg.tau, cfg.nbar, cfg.mu, basis="q")
@@ -253,7 +261,13 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
             f"outcome moments V_A={va}, V_B={vb}, c={c_q} and V_A|B are not all "
             "finite and positive (float precision limit)"
         ) from None
-    c_p = c_q * _p_alignment_sign(cfg.tau)
+    # Read per round: the slope c / V_B and the noise sqrt(V_A - c^2 / V_B) by
+    # 0 = not kept, 1 = kept q, 2 = kept p, and the alignment sign by basis_b.
+    sign = _p_alignment_sign(cfg.tau)
+    c = np.array([0.0, c_q, c_q * sign])
+    with np.errstate(over="ignore"):
+        slope, noise = c / vb, np.sqrt(va - c * c / vb)
+    align = np.array([1.0, sign])
 
     rounds = int(cfg.rounds)
     workers = _cpu_count()
@@ -277,12 +291,10 @@ def simulate(cfg: SimConfig, keep_rounds: bool = False):
             kept = basis_a == basis_b
             z_b = ndtri(np.maximum(u[:, 2], _MIN_UNIFORM))
             z_a = ndtri(np.maximum(u[:, 3], _MIN_UNIFORM))
-            c_round = np.where(kept, np.where(basis_b == 0, c_q, c_p), 0.0)
+            coef = kept * (basis_b + 1)
             x_b = math.sqrt(vb) * z_b
-            x_a = (c_round / vb) * x_b + np.sqrt(va - c_round * c_round / vb) * z_a
-
-            align = np.where(basis_b == 1, _p_alignment_sign(cfg.tau), 1.0)
-            a = (x_a * align)[kept]
+            x_a = slope.take(coef) * x_b + noise.take(coef) * z_a
+            a = (x_a * align.take(basis_b))[kept]
             b = x_b[kept]
             # a, b, a*a, b*b, a*b over the kept rounds, times 2**1127
             sums = [_scaled_sum(x) for x in (a, b, a * a, b * b, a * b)]
@@ -369,16 +381,32 @@ def moment_standard_errors(cov: np.ndarray, kept_rounds: int) -> np.ndarray:
 def rounds_to_csv(rounds: np.ndarray) -> str:
     """Per-round CSV with header ``basis_b,basis_a,kept,x_a,x_b`` (LF newlines).
 
-    Rows are formatted ``_CSV_BLOCK`` at a time by one %-format over the
-    block's interleaved columns; ``%.12g`` writes the same text as
-    ``{:.12g}``.
+    ``rounds`` is the 1-D record of ``simulate(..., keep_rounds=True)``.  Each
+    ``_CSV_BLOCK`` rows take one %-format, with the ``basis_b,basis_a,kept,``
+    prefix built once per distinct label triple; ``%.12g`` writes the same text
+    as ``{:.12g}``.
     """
-    names = _ROUND_DTYPE.names
-    parts = [",".join(names) + "\n"]
+    if not (isinstance(rounds, np.ndarray) and rounds.ndim == 1 and rounds.dtype == _ROUND_DTYPE):
+        got = rounds.dtype if isinstance(rounds, np.ndarray) else type(rounds).__name__
+        raise DomainError(f"rounds must be a 1-D round record, got {got}", field="rounds")
+    parts = [",".join(_ROUND_DTYPE.names) + "\n"]
     for start in range(0, len(rounds), _CSV_BLOCK):
         block = rounds[start : start + _CSV_BLOCK]
-        values = [None] * (len(names) * len(block))
-        for i, name in enumerate(names):
-            values[i :: len(names)] = block[name].tolist()
-        parts.append(("%s,%s,%d,%.12g,%.12g\n" * len(block)) % tuple(values))
+        # One key per label triple: a code point takes at most 21 bits, kept 8.
+        bb, ba = block["basis_b"].view(np.uint32), block["basis_a"].view(np.uint32)
+        if max(bb.max(), ba.max()) > 0x10FFFF:
+            raise DomainError("a label in rounds is not a Unicode character", field="rounds")
+        key = bb.astype(np.uint64) << 40
+        key |= ba.astype(np.uint64) << 8
+        key |= block["kept"].view(np.uint8)
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        labels = block[first][["basis_b", "basis_a", "kept"]].tolist()
+        prefix = np.array(["%s,%s,%d," % row for row in labels], dtype=object)[which].tolist()
+        del key, first, which  # the block's text reuses their memory: a lower peak RSS
+        values = [None] * (3 * len(block))
+        values[0::3] = prefix
+        del prefix
+        values[1::3] = block["x_a"].tolist()
+        values[2::3] = block["x_b"].tolist()
+        parts.append(("%s%.12g,%.12g\n" * len(block)) % tuple(values))
     return "".join(parts)

@@ -15,12 +15,20 @@ from gausskey.errors import (
     NumericError,
     UnsupportedChannelError,
 )
+from gausskey.sim import _ROUND_DTYPE
 
 _SIM = dict(tau=0.5, nbar=0.1, mu=5.0, rounds=10, seed=0, mode="memory")
 
 
 def _sim(**changes):
     return gk.SimConfig(**{**_SIM, **changes})
+
+
+def _record_with_code_point(field, code_point):
+    rec = np.zeros(3, dtype=_ROUND_DTYPE)
+    rec[field] = "q"
+    rec[field].view(np.uint32)[1] = code_point  # bytes no str can hold
+    return rec
 
 
 @pytest.mark.parametrize(
@@ -119,6 +127,21 @@ def _sim(**changes):
                      id="make-canonical-numpy-complex-eps"),
         pytest.param(lambda: gk.make_canonical(np.array([0.5]), eps=0.1), DomainError, "tau",
                      id="make-canonical-one-element-array-tau"),
+        # these escaped as IndexError, TypeError, ValueError and AttributeError
+        pytest.param(lambda: gk.rounds_to_csv(np.zeros(3)), DomainError, "rounds",
+                     id="csv-float-array"),
+        pytest.param(lambda: gk.rounds_to_csv([1, 2]), DomainError, "rounds", id="csv-list"),
+        pytest.param(lambda: gk.rounds_to_csv(None), DomainError, "rounds", id="csv-none"),
+        pytest.param(lambda: gk.rounds_to_csv(np.zeros(3, dtype=[("x_a", float), ("x_b", float)])),
+                     DomainError, "rounds", id="csv-other-record"),
+        pytest.param(lambda: gk.rounds_to_csv(np.zeros((2, 2), dtype=_ROUND_DTYPE)),
+                     DomainError, "rounds", id="csv-2-d-record"),
+        pytest.param(lambda: gk.simulate("cfg"), DomainError, "cfg", id="simulate-str-config"),
+        # past the last code point: SystemError; 2**24 + ord("q") would key as "q"
+        pytest.param(lambda: gk.rounds_to_csv(_record_with_code_point("basis_a", 0x110000)),
+                     DomainError, "rounds", id="csv-label-past-unicode"),
+        pytest.param(lambda: gk.rounds_to_csv(_record_with_code_point("basis_b", 2**24 + ord("q"))),
+                     DomainError, "rounds", id="csv-label-aliasing-q"),
     ],
 )
 def test_argument_checks_name_their_field(call, error, field):
@@ -182,6 +205,8 @@ _SLOTS = {
     "moments_mu": (lambda x: gk.analytic_moments(0.5, 0.1, x), None),
     "moments_basis": (lambda x: gk.analytic_moments(0.5, 0.1, 5.0, x), None),
     "kept_rounds": (lambda x: gk.moment_standard_errors(np.eye(2), x), None),
+    "simulate_cfg": (lambda x: gk.simulate(x), "cfg"),
+    "rounds_to_csv": (lambda x: gk.rounds_to_csv(x), "rounds"),
 }
 _WRONG_TYPES = {
     "none": None, "str": "x", "list": [0.5], "dict": {}, "complex": 1 + 2j,

@@ -8,6 +8,7 @@ import os
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,6 +410,28 @@ def test_exact_accumulator_equals_fsum_in_any_chunking():
         assert (sim_module._scaled_sum(np.array(edge)) / scale).hex() == math.fsum(edge).hex()
 
 
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # sigma = 2**(1024 + 17) would overflow: the passes run scaled down
+        [_MAX] * 32768,
+        [_MAX, -_MAX] * 1000,
+        [2.0**1023, -(2.0**1022), 5e-324, 2.0**1023 * 1.5, -2.5e-320, 3e-310, _MAX, -5e-324],
+        [(-1.0) ** e * math.ldexp(1.0 + e / 4096.0, e) for e in range(-1074, 1024)],
+    ],
+    ids=["float-max-32768", "max-minus-max", "near-2-1023-with-subnormals", "every-exponent"],
+)
+def test_exact_accumulator_at_the_ends_of_the_float_range(values):
+    want = sum(map(Fraction, values)) * (1 << sim_module._SCALE_BITS)
+    with np.errstate(over="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sim_module._scaled_sum(np.array(values))
+    assert want.denominator == 1 and got == want.numerator
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_exact_accumulator_rejects_non_finite(bad):
     with pytest.raises(NumericError, match="float precision limit"):
@@ -533,6 +556,31 @@ def test_rounds_csv_blocks_match_row_by_row_formatting():
             f"{row['x_a']:.12g},{row['x_b']:.12g}"
         )
     assert rounds_to_csv(rec) == "\n".join(want) + "\n"
+
+
+def test_rounds_csv_label_prefixes_match_row_by_row_formatting():
+    # Each block builds one prefix per distinct (basis_b, basis_a, kept):
+    # here any label, including the empty one, and every int8 kept value,
+    # on both sides of every block edge.
+    block = sim_module._CSV_BLOCK
+    n = 2 * block + 300
+    rows = np.arange(n)
+    labels = np.array(["", "x", "é"])
+    rec = np.empty(n, dtype=sim_module._ROUND_DTYPE)
+    rec["basis_b"] = labels[rows % 3]
+    rec["basis_a"] = labels[rows // 3 % 3]
+    rec["kept"] = rows % 256 - 128
+    rec["x_a"] = np.random.default_rng(5).standard_normal(n)
+    rec["x_b"] = -rec["x_a"] / 3.0
+    lines = [
+        f"{row['basis_b']},{row['basis_a']},{int(row['kept'])},"
+        f"{row['x_a']:.12g},{row['x_b']:.12g}\n"
+        for row in rec
+    ]
+    header = "basis_b,basis_a,kept,x_a,x_b\n"
+    assert {int(k) for k in rec["kept"]} == set(range(-128, 128))
+    for lo, hi in ((0, n), (block - 7, block + 7), (2 * block - 1, n)):
+        assert rounds_to_csv(rec[lo:hi]) == header + "".join(lines[lo:hi])
 
 
 _PINNED_70000 = test_multi_chunk_run_matches_pinned_bits.pytestmark[0]  # its parametrize mark
