@@ -7,8 +7,8 @@ Subcommands: ``rates`` (closed-form bounds at a point), ``thresholds``
 protocol Monte Carlo, JSON out), and ``classify`` (region flags at a point).
 
 Exit codes: 0 on success, 1 on domain errors (values outside the supported
-physics, e.g. tau = 1 or negative noise) and on output paths that cannot be
-opened for writing, 2 on flag errors (unknown, missing, or malformed
+physics, e.g. tau = 1 or negative noise) and on outputs that cannot be
+opened or written, 2 on flag errors (unknown, missing, or malformed
 flags).  Every error message names the offending flag.
 Floats are printed with 12 significant digits; the GAUSSKEY_PRECISION
 environment variable overrides the printed precision (output formatting
@@ -17,6 +17,7 @@ only, never the computation and never the fixed CSV schema).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -83,22 +84,36 @@ def _emit_json(obj: dict, pretty: bool = False):
         click.echo(json.dumps(prepared, separators=(",", ":")))
 
 
-def _fail_domain(exc: GaussKeyError, fallback: str):
-    """Print ``exc`` under the flags named by its field, else ``fallback``; exit 1."""
-    if exc.field is None:
-        label = fallback
-    else:
-        label = "/".join("--" + name.replace("_", "-") for name in exc.field.split("/"))
-    click.echo(f"error: {label}: {exc}", err=True)
-    sys.exit(1)
-
-
-def _open_output(path: str, flag: str):
-    """``open(path, "w")``, or print ``error: <flag>: ...`` and exit 1 if it fails."""
+@contextlib.contextmanager
+def _refusals(fallback: str):
+    """Print a refusal as ``error: <flags>: <message>`` (its field's flags, else ``fallback``); exit 1."""
     try:
-        return open(path, "w", newline="")
-    except OSError as exc:
-        click.echo(f"error: {flag}: cannot write {path}: {exc.strerror}", err=True)
+        yield
+    except GaussKeyError as exc:
+        label = fallback if exc.field is None else "--" + exc.field.replace("_", "-").replace("/", "/--")
+        click.echo(f"error: {label}: {exc}", err=True)
+        sys.exit(1)
+
+
+@contextlib.contextmanager
+def _output(path: str, flag: str):
+    """``path`` opened for writing before the work that fills it.
+
+    An ``OSError`` at the open or in the block prints ``error: <flag>:
+    cannot write <path>: <reason>`` and exits 1.  A failure after the open
+    removes the file if it is a regular one (never a device like /dev/null).
+    """
+    fh = None
+    try:
+        fh = open(path, "w", newline="")
+        with fh:
+            yield fh
+    except BaseException as exc:
+        if fh is not None and os.path.isfile(path):
+            os.remove(path)
+        if not isinstance(exc, OSError):
+            raise
+        click.echo(f"error: {flag}: cannot write {path}: {exc.strerror or exc}", err=True)
         sys.exit(1)
 
 
@@ -123,11 +138,9 @@ def rates(tau, nbar, eps, as_json):
     """Closed-form rate bounds e_r, q1g, r_rev at one channel point."""
     if (nbar is None) == (eps is None):
         raise click.UsageError("exactly one of --nbar and --eps is required")
-    try:
+    with _refusals("--tau"):
         ch = make_canonical(tau, nbar=nbar, eps=eps)
         report = rate_report(ch)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--tau")
     if as_json:
         _emit_json(report.as_dict())
         return
@@ -152,15 +165,12 @@ def rates(tau, nbar, eps, as_json):
               help="Also write an SVG plot of the three curves.")
 def thresholds(tau_min, tau_max, steps, tol, out, svg):
     """Security-threshold curves eps_q, eps_r, eps_rev over a tau grid."""
-    try:
+    with _refusals("--tau-min/--tau-max"), _output(out, "--out") as fh:
         curve = sweep(tau_min, tau_max, steps, tol=tol)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--tau-min/--tau-max")
-    with _open_output(out, "--out") as fh:
         fh.write(curve_to_csv(curve))
     click.echo(f"wrote {len(curve.rows)} rows to {out}")
     if svg is not None:
-        with _open_output(svg, "--svg") as fh:
+        with _output(svg, "--svg") as fh:
             fh.write(_curve_svg(curve))
         click.echo(f"wrote plot to {svg}")
 
@@ -186,11 +196,9 @@ def converge(tau, nbar, mu_list, engine, as_json):
         mus = [float(t) for t in tokens]
     except ValueError:
         raise click.UsageError(f"--mu-list: could not parse {mu_list!r} as floats")
-    try:
+    with _refusals("--mu-list"):
         ch = make_canonical(tau, nbar=nbar)
         rows = convergence_table(ch, mus, engine=engine)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--mu-list")
     if as_json:
         rows_json = [asdict(r) for r in rows]
         _emit_json({"tau": ch.tau, "nbar": ch.nbar, "engine": engine, "rows": rows_json})
@@ -210,11 +218,9 @@ def converge(tau, nbar, mu_list, engine, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def verify(tau, nbar, mu, ports, as_json):
     """Finite-mu protocol rate against the closed form at one point."""
-    try:
+    with _refusals("--tau/--mu"):
         ch = make_canonical(tau, nbar=nbar)
         numeric = protocol_rate_numeric(ch, mu, port_model=ports)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--tau/--mu")
     closed = r_rev(ch)
     result = {"numeric_rate": numeric, "closed_form": closed, "abs_diff": abs(numeric - closed)}
     if as_json:
@@ -237,23 +243,14 @@ def verify(tau, nbar, mu, ports, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Single-line JSON instead of indented.")
 def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
     """Seeded homodyne-protocol Monte Carlo; emits run statistics as JSON."""
-    try:
+    with _refusals("--mu/--rounds"):
         cfg = SimConfig(tau=tau, nbar=nbar, mu=mu, rounds=rounds, seed=seed, mode=mode)
-        if rounds_csv is not None:
-            # Opened before the run, so an unwritable path fails before any
-            # round; a run or write that then fails for any reason leaves no log.
-            with _open_output(rounds_csv, "--rounds-csv") as fh:
-                try:
-                    stats, rec = simulate(cfg, keep_rounds=True)
-                    fh.write(rounds_to_csv(rec))
-                except BaseException:
-                    fh.close()
-                    os.remove(rounds_csv)
-                    raise
-        else:
+        if rounds_csv is None:
             stats = simulate(cfg)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--mu/--rounds")
+        else:
+            with _output(rounds_csv, "--rounds-csv") as fh:
+                stats, rec = simulate(cfg, keep_rounds=True)
+                fh.write(rounds_to_csv(rec))
     _emit_json({**asdict(cfg), **stats.as_dict()}, pretty=not as_json)
 
 
@@ -263,10 +260,8 @@ def simulate_cmd(tau, nbar, mu, rounds, seed, mode, rounds_csv, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object instead of text.")
 def classify_cmd(tau, eps, as_json):
     """Region flags at one (tau, eps) point."""
-    try:
+    with _refusals("--tau/--eps"):
         label = classify(tau, eps)
-    except GaussKeyError as exc:
-        _fail_domain(exc, "--tau/--eps")
     flags = asdict(label)
     region = _region_text(label)
     if as_json:

@@ -121,7 +121,8 @@ def make_canonical(
         tau, eps = _float(tau), _float(eps)
     if tau == 1.0:  # guards the division below
         raise UnsupportedChannelError("classes B1/B2 (tau=1) unsupported", field="tau")
-    nbar = eps / (2.0 * abs(1.0 - tau))
+    d = abs(1.0 - tau)
+    nbar = eps / (2.0 * d) if d <= _HALF_MAX else eps / 2.0 / d  # 2 d would overflow
     if not 0.0 <= eps <= _MAX or nbar > _HALF_MAX:
         raise DomainError(
             f"scaled noise eps must be finite and >= 0, with finite w = 2 nbar + 1, got {eps}",
@@ -181,7 +182,10 @@ def mixing_lambda(ch: CanonicalChannel) -> float:
 
 
 def _lambda(d: float, w: float) -> float:
-    return (d + w) / (1.0 + d * w)
+    dw = d * w
+    if dw > _MAX:  # divide through by w, so the denominator stays finite
+        return (d / w + 1.0) / (1.0 / w + d)
+    return (d + w) / (1.0 + dw)
 
 
 def r_rev_interior(ch: CanonicalChannel) -> float:

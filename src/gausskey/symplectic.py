@@ -441,12 +441,10 @@ def homodyne_condition(state: CovMat, measured_mode: int, quadrature: str) -> Co
     _choice(quadrature, ("q", "p"), "quadrature")
     quads = _quadratures([measured_mode], state.n_modes, "measured_mode")
     col = quads[0 if quadrature == "q" else 1]
-    v = float(state.entries[col, col])
+    rows = state.entries.tolist()
+    c, v = rows[col], rows[col][col]
     if not v > 0.0:  # only in an array that CovMat's eigh band let through
         raise DegenerateMeasurementError(f"measured quadrature variance {v} is not positive")
     idx = [j for j in range(2 * state.n_modes) if j // 2 != col // 2]
-    rows = state.entries.take(idx, 0)
-    a, c = rows.take(idx, 1), rows[:, col]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a - np.outer(c, c) / v
+    out = [[rows[i][j] - c[i] * c[j] / v for j in idx] for i in idx]
     return _result(out, "homodyne update")

@@ -1,6 +1,7 @@
 """Command-line interface: output shape, JSON schemas, exit codes, file
 artifacts, environment-controlled precision."""
 
+import errno
 import hashlib
 import json
 import math
@@ -361,6 +362,105 @@ def test_simulate_unwritable_round_log_fails_before_any_round(tmp_path, monkeypa
     assert result.stderr.startswith("error: --rounds-csv: cannot write ")
     assert "Traceback" not in result.stderr
     assert runs == []
+
+
+# Every test below that points an output at a device stubs ``os.remove``
+# with a recorder: a run that fails must never remove a device node.
+_ROUND_LOG_RUN = ["simulate", "--tau", "0.5", "--nbar", "0", "--mu", "5", "--rounds", "30",
+                  "--seed", "3", "--mode", "memory"]
+_CURVE_RUN = ["thresholds", "--tau-min", "0.2", "--tau-max", "0.8", "--steps", "3"]
+
+
+@pytest.fixture
+def removals(monkeypatch):
+    seen = []
+    monkeypatch.setattr("gausskey.cli.os.remove", seen.append)
+    return seen
+
+
+def _output_args(flag, path, tmp_path):
+    if flag == "--rounds-csv":
+        return _ROUND_LOG_RUN + ["--rounds-csv", path]
+    paths = {"--out": str(tmp_path / "x.csv"), "--svg": str(tmp_path / "x.svg"), flag: path}
+    return _CURVE_RUN + ["--out", paths["--out"], "--svg", paths["--svg"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--rounds-csv"])
+def test_a_failed_write_names_its_flag_and_leaves_the_device(tmp_path, removals, flag):
+    result = _run(_output_args(flag, "/dev/full", tmp_path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {flag}: cannot write /dev/full: No space left on device\n"
+    assert "Traceback" not in result.output
+    assert removals == []
+
+
+def test_a_failed_run_leaves_a_device_round_log_alone(removals):
+    result = _run(["simulate", "--tau", "0.5", "--nbar", "0.1", "--mu", "1e17", "--rounds", "30",
+                   "--seed", "3", "--mode", "memory", "--rounds-csv", os.devnull])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --mu/--rounds: ")
+    assert "float precision limit" in result.stderr
+    assert removals == []
+
+
+@pytest.mark.parametrize(
+    "flag, writer",
+    [("--out", "curve_to_csv"), ("--svg", "_curve_svg"), ("--rounds-csv", "rounds_to_csv")],
+)
+def test_a_failed_write_removes_a_regular_file(tmp_path, monkeypatch, flag, writer):
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    removed = []
+    remove = os.remove
+    monkeypatch.setattr(f"gausskey.cli.{writer}", no_space)
+    monkeypatch.setattr("gausskey.cli.os.remove", lambda p: (removed.append(p), remove(p)))
+    path = tmp_path / "written"
+    result = _run(_output_args(flag, str(path), tmp_path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {flag}: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    assert removed == [str(path)]
+    assert not path.exists()
+
+
+def test_a_failed_write_without_an_errno_prints_its_message(tmp_path, monkeypatch):
+    def broken(*args):
+        raise OSError("the pipe went away")
+
+    monkeypatch.setattr("gausskey.cli.curve_to_csv", broken)
+    path = tmp_path / "x.csv"
+    result = _run(_CURVE_RUN + ["--out", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: --out: cannot write {path}: the pipe went away\n"
+    assert not path.exists()
+
+
+def test_a_failed_open_leaves_an_existing_file(tmp_path, monkeypatch, removals):
+    def denied(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr("gausskey.cli.open", denied, raising=False)
+    path = tmp_path / "kept.csv"
+    path.write_text("kept\n")
+    result = _run(_CURVE_RUN + ["--out", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: --out: cannot write {path}: {os.strerror(errno.EACCES)}\n"
+    assert removals == []
+    assert path.read_text() == "kept\n"
+
+
+def test_rates_where_the_scaled_noise_or_lambda_would_overflow():
+    # 2 |1 - tau| overflows, so eps / (2 |1 - tau|) read nbar = 0 and eps = 0
+    result = _run(["rates", "--tau", "-1e308", "--eps", "1e308", "--json"])
+    assert result.exit_code == 0
+    assert '"nbar":0.5,"eps":1e+308' in result.output
+    # |1 - tau| w overflows, so lambda read 0 and r_rev divided by it
+    result = _run(["rates", "--tau", "1e308", "--nbar", "0.5"])
+    assert result.exit_code == 0
+    assert "lambda = 0.5" in result.output
 
 
 def test_classify_region_text():

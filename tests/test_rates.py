@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,38 @@ def test_channel_record_is_frozen_slotted_and_checked():
 def test_mixing_lambda():
     assert gk.mixing_lambda(ch(0.9, 0.1)) == pytest.approx(LAMBDA_09_01, abs=1e-15)
     assert gk.mixing_lambda(ch(0.3, 0.0)) == 1.0
+
+
+@pytest.mark.parametrize("tau", [-1e308, 1e308])
+def test_lambda_and_r_rev_where_d_times_w_overflows(tau):
+    # |1 - tau| w is past the float maximum: lambda read 0.0 and r_rev raised
+    # ZeroDivisionError.  Reference: the closed form at 60 digits from the
+    # exact float tau.
+    from mpmath import mp
+
+    with mp.workdps(60):
+        d, w, nbar = abs(1 - mp.mpf(tau)), mp.mpf(2), mp.mpf(0.5)
+        lam = (d + w) / (1 + d * w)
+
+        def g(x):
+            return (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
+
+        interior = mp.log(lam / d, 2) / 2 + g(mp.sqrt(w / (4 * lam)) - mp.mpf(0.5)) - g(nbar)
+    c = ch(tau, 0.5)
+    assert gk.mixing_lambda(c) == float(lam) == 0.5
+    assert r_rev_interior(c) == float(interior) == -512.0769266126538
+    assert gk.rate_report(c).r_rev == 0.0
+
+
+def test_make_canonical_keeps_eps_where_twice_the_distance_overflows():
+    top = sys.float_info.max
+    for tau, eps, nbar in [(-1e308, 1e308, 0.5), (-top, top, 0.5), (1e308, 1e308, 0.5)]:
+        c = gk.make_canonical(tau, eps=eps)
+        assert (c.nbar, c.eps) == (nbar, eps)
+    # wherever 2 |1 - tau| is finite the one division stands, bit for bit
+    for tau, eps in [(0.5, 0.1), (-3.0, 1.0), (1.0 + 2**-52, 1e-300), (1 - top / 2, top),
+                     (-top / 2, 1e300), (1e300, 1e300)]:
+        assert gk.make_canonical(tau, eps=eps).nbar == eps / (2.0 * abs(1.0 - tau))
 
 
 def test_rate_report_bundles():
